@@ -15,13 +15,12 @@ yields the class data that the consistency machinery consumes (`extract_T`).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .density import _evaluate, density
-from .limits import DEFAULT_LIMITS, Limits, worker_count
+from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import Multigraph, canonical_key, enumerate_Hnp, single_edge, star_graph
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
@@ -157,20 +156,10 @@ def extract_T(F: QuantumGraph, n: int, p: int, *,
         raise ValueError("p must be at least 2")
     classes = enumerate_Hnp(n, p, limits=limits)
     base = StepKernel.zero(p)
-
-    def entry(h: Multigraph) -> Fraction:
-        request = DerivativeRequest(base, basis_tuple(h, p))
-        return gateaux_exact(F, request, limits=limits)
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(entry, classes))
-    else:
-        values = [entry(h) for h in classes]
-    return ConsistencyVector(n, p, classes,
-                             {canonical_key(h): v
-                              for h, v in zip(classes, values)})
+    entries = {canonical_key(h): gateaux_exact(
+                   F, DerivativeRequest(base, basis_tuple(h, p)), limits=limits)
+               for h in classes}
+    return ConsistencyVector(n, p, classes, entries)
 
 
 @dataclass(frozen=True)

@@ -121,15 +121,16 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
         raise ValueError("target scale must have at least 2 parts")
     matrix = pi_formula(A.n, k, limits=limits)
     coarse = enumerate_Hnp(A.n, p, limits=limits)
+    fine = [(canonical_key(strip_isolated(h)), A.entries[canonical_key(h)])
+            for h in A.classes]
     entries: dict[bytes, Fraction] = {}
     for g in coarse:
         gkey_stripped = canonical_key(strip_isolated(g))
         acc = Fraction(0)
-        for h in A.classes:
-            hkey_stripped = canonical_key(strip_isolated(h))
+        for hkey_stripped, value in fine:
             weight = matrix.value_by_key(gkey_stripped, hkey_stripped)
             if weight:
-                acc += weight * A.entries[canonical_key(h)]
+                acc += weight * value
         entries[canonical_key(g)] = acc
     return ConsistencyVector(A.n, p, coarse, entries)
 

@@ -7,7 +7,6 @@ something too large.  Caps are explicit: exceeding one raises
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -40,14 +39,3 @@ DEFAULT_LIMITS = Limits()
 #: A permissive cap set for demos and tests that intentionally go big.
 WIDE_LIMITS = Limits(max_parts=64, max_vertices=25, max_maps=10**8,
                      max_index_tuples=10**7, max_classes=10**6, max_cut_parts=20)
-
-
-def worker_count() -> int:
-    """Worker pool size, overridable via the GRAPHON_CALC_THREADS env var."""
-    raw = os.environ.get("GRAPHON_CALC_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("GRAPHON_CALC_THREADS must be a positive integer")
-    return n

@@ -227,8 +227,3 @@ def t_combinatorial(h: Multigraph, g: Multigraph, *,
         raise ValueError("target graph must have at least one vertex")
     return Fraction(count_hom(h, g, limits=limits),
                     g.vertex_count ** h.vertex_count)
-
-
-def surjection_exists(h: Multigraph, g: Multigraph, *,
-                      limits: Limits = DEFAULT_LIMITS) -> bool:
-    return count_surj(h, g, limits=limits) > 0

@@ -372,18 +372,11 @@ def enumerate_Hn(n: int, k: int = 0, *,
 
 @lru_cache(maxsize=None)
 def _enumerate_with_vertices(n: int, p: int, limits: Limits) -> tuple[Multigraph, ...]:
-    pairs = list(itertools.combinations(range(p), 2))
-    total = 1
-    for i in range(n):
-        total = total * (len(pairs) + i) // (i + 1)
-    if total > limits.max_classes:
-        raise CapExceeded(
-            f"enumerating {n}-edge multisets over {p} vertices exceeds the class cap")
-    result: dict[bytes, Multigraph] = {}
-    for combo in itertools.combinations_with_replacement(pairs, n):
-        g = Multigraph(p, combo)
-        result.setdefault(canonical_key(g), g)
-    return tuple(g for _, g in sorted(result.items()))
+    # A class on exactly p vertices is an n-edge class without isolated
+    # vertices that fits in p vertices, padded with isolated ones.
+    padded = [h.padded(p) for h in _enumerate_classes(n, 0, limits)
+              if h.vertex_count <= p]
+    return tuple(sorted(padded, key=canonical_key))
 
 
 def enumerate_Hnp(n: int, p: int, *,

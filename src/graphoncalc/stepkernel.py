@@ -17,8 +17,6 @@ from typing import Mapping, Sequence
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .multigraph import Multigraph
 
-Rational = Fraction
-
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -78,7 +76,8 @@ class StepKernel:
         """(denominator, integer matrix) with matrix/denominator == self."""
         if self._intform is None:
             denom = math.lcm(*(x.denominator for row in self.matrix for x in row))
-            ints = tuple(tuple(int(x * denom) for x in row) for row in self.matrix)
+            ints = tuple(tuple(x.numerator * (denom // x.denominator) for x in row)
+                         for row in self.matrix)
             object.__setattr__(self, "_intform", (denom, ints))
         return self._intform
 

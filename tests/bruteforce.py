@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches.  None of it
-shares code with the production implementations.
+shares code with the production implementations, except that the
+fixed-vertex-count enumeration dedups and orders by `canonical_key`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from graphoncalc import Multigraph, StepKernel
+from graphoncalc import Multigraph, StepKernel, canonical_key
 
 
 def brute_canonical_key(g: Multigraph) -> tuple:
@@ -48,6 +49,18 @@ def brute_enumerate_Hn(n: int) -> set[tuple]:
             if all(g.degree(v) > 0 for v in range(nv)):
                 found.add(brute_canonical_key(g))
     return found
+
+
+def brute_enumerate_Hnp(n: int, p: int) -> tuple[Multigraph, ...]:
+    """Classes with n edges on exactly p vertices, in canonical-key order:
+    every multiset of n pairs out of C(p, 2), deduplicated by the library's
+    `canonical_key` (itself checked against `brute_canonical_key`)."""
+    pairs = list(itertools.combinations(range(p), 2))
+    found: dict[bytes, Multigraph] = {}
+    for combo in itertools.combinations_with_replacement(pairs, n):
+        g = Multigraph(p, combo)
+        found.setdefault(canonical_key(g), g)
+    return tuple(g for _, g in sorted(found.items()))
 
 
 def _g_slots(g: Multigraph) -> list[tuple[int, int]]:

@@ -68,6 +68,11 @@ class TestSubcommands:
         assert run(["enumerate", "-n", "1", "--pvertices", "3"]) == 0
         assert "3v" in capsys.readouterr().out
 
+    def test_enumerate_many_isolated_vertices(self, capsys):
+        assert run(["--format", "json", "enumerate", "-n", "4",
+                    "--pvertices", "15"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 23
+
     def test_hom_surj_aut(self, files, capsys):
         k2 = files("k2.json", _k2_json())
         k3 = files("k3.json", graph_to_json(complete_graph(3)))

@@ -11,7 +11,8 @@ from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
 
-from .bruteforce import brute_canonical_key, brute_enumerate_Hn
+from .bruteforce import (brute_canonical_key, brute_enumerate_Hn,
+                         brute_enumerate_Hnp)
 
 
 class TestConstruction:
@@ -155,6 +156,21 @@ class TestEnumerateWithVertexCount:
         assert len(enumerate_Hnp(n, 2 * n + 1)) == len(enumerate_Hn(n))
         if n > 1:  # p must stay >= 2
             assert len(enumerate_Hnp(n, 2 * n - 1)) < len(enumerate_Hn(n))
+
+    @pytest.mark.parametrize("n,p", [(2, 4), (3, 3), (3, 6), (3, 8),
+                                     (4, 4), (4, 5), (4, 6)])
+    def test_matches_multiset_oracle(self, n, p):
+        assert ([canonical_key(g) for g in enumerate_Hnp(n, p)]
+                == [canonical_key(g) for g in brute_enumerate_Hnp(n, p)])
+
+    def test_class_cap(self):
+        with pytest.raises(CapExceeded):
+            enumerate_Hnp(4, 8, limits=Limits(max_classes=5))
+
+    def test_many_isolated_vertices(self):
+        classes = enumerate_Hnp(4, 15)
+        assert len(classes) == len(enumerate_Hn(4)) == 23
+        assert all(g.vertex_count == 15 for g in classes)
 
     def test_strip_is_injective_on_result(self):
         for g in enumerate_Hnp(3, 5):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,28 @@ from graphoncalc import (StepKernel, basis_edge, cut_norm, enumerate_Hn,
 from graphoncalc.limits import CapExceeded, Limits
 
 from .bruteforce import cut_norm_subset_oracle, random_kernel, random_signed_kernel
+
+
+_CELLS = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+class TestIntegerized:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_exact_integer_form(self, data):
+        p = data.draw(st.integers(1, 4))
+        rows = [[Fraction(0)] * p for _ in range(p)]
+        for a in range(p):
+            for b in range(a, p):
+                rows[a][b] = rows[b][a] = data.draw(_CELLS)
+        f = StepKernel(rows)
+        denom, ints = f.integerized()
+        assert denom == math.lcm(*(x.denominator for row in rows for x in row))
+        for i in range(p):
+            for j in range(p):
+                assert type(ints[i][j]) is int
+                assert Fraction(ints[i][j], denom) == rows[i][j]
 
 
 class TestBasisAndRefine:
