@@ -1,14 +1,51 @@
 """Small exact linear algebra over Fractions: determinant, solve, rank.
 
-Plain Gaussian elimination with the first nonzero pivot; everything here is
-desk scale (matrices of a few dozen rows), so no pivoting strategy or
-fraction-free tricks are needed.
+All three run one Gaussian elimination with the first nonzero pivot.  The
+surjection-count matrices it meets are large and mostly zero (a Whitney
+matrix can have hundreds of rows and ~90 % zero entries), so each pivot step
+updates only the rows with a nonzero in the pivot column, and in them only
+the pivot row's nonzero columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+
+def _eliminate(m: list[list[Fraction]]) -> tuple[list[int], int]:
+    """Reduce m to row echelon form in place.
+
+    Returns the pivot column of each of the leading rows, in order, and the
+    sign of the row permutation applied.
+    """
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    sign = 1
+    r = 0
+    for col in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        prow = m[r]
+        inv = 1 / prow[col]
+        nonzero = [c for c in range(col + 1, n_cols) if prow[c]]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            if row[col]:
+                factor = row[col] * inv
+                row[col] = Fraction(0)
+                for c in nonzero:
+                    row[c] -= factor * prow[c]
+        pivots.append(col)
+        r += 1
+    return pivots, sign
 
 
 def _copy(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -20,76 +57,35 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
+    pivots, sign = _eliminate(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    det = Fraction(sign)
+    for i in range(n):
+        det *= m[i][i]
     return det
 
 
 def solve(rows: Sequence[Sequence[Fraction]],
           rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square system exactly; raises ValueError when singular."""
-    m = _copy(rows)
-    n = len(m)
-    if any(len(row) != n for row in m) or len(rhs) != n:
+    n = len(rows)
+    if any(len(row) != n for row in rows) or len(rhs) != n:
         raise ValueError("solve needs a square matrix and a matching vector")
-    b = [Fraction(x) for x in rhs]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-            b[r] -= factor * b[col]
+    m = _copy([*row, b] for row, b in zip(rows, rhs))
+    pivots, _ = _eliminate(m)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
     x = [Fraction(0)] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r]
+        row = m[r]
+        acc = row[n]
         for c in range(r + 1, n):
-            acc -= m[r][c] * x[c]
-        x[r] = acc / m[r][r]
+            if row[c]:
+                acc -= row[c] * x[c]
+        x[r] = acc / row[r]
     return x
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = _copy(rows)
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        for i in range(r + 1, n_rows):
-            if m[i][col] == 0:
-                continue
-            factor = m[i][col] * inv
-            for c in range(col, n_cols):
-                m[i][c] -= factor * m[r][c]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return len(_eliminate(_copy(rows))[0])

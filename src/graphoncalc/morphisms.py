@@ -33,26 +33,46 @@ def _pinned_vertices(h: Multigraph, g: Multigraph) -> dict[int, int]:
     return {v: g_label[lab] for lab, v in h.labels}
 
 
-def _search_order(h: Multigraph, pinned: dict[int, int]) -> list[int]:
-    # Free vertices ordered so each one touches as many already-placed
-    # vertices as possible; keeps the backtracking prune effective.
+@lru_cache(maxsize=1024)
+def _search_plan(h: Multigraph) -> tuple[tuple[int, ...], tuple[tuple, ...],
+                                         tuple[int, ...]]:
+    """The free vertices in search order; for each, its h-edges (neighbour,
+    multiplicity) to the vertices placed before it; and for each step i, the
+    h-edge mass placed at steps i, i+1, ... (one more entry, 0, at the end).
+
+    Labelled vertices are pinned, so they count as placed first.  Each next
+    vertex touches as many placed vertices as possible, which keeps the
+    backtracking prunes effective.
+    """
     adj = _adjacency(h)
-    placed = set(pinned)
+    placed = h.labelled_vertices()
     order: list[int] = []
-    free = [v for v in range(h.vertex_count) if v not in pinned]
+    back: list[tuple[tuple[int, int], ...]] = []
+    free = [v for v in range(h.vertex_count) if v not in placed]
     while free:
         v = max(free, key=lambda u: (sum(1 for w in adj[u] if w in placed), -u))
         order.append(v)
+        back.append(tuple((w, m) for w, m in adj[v].items() if w in placed))
         placed.add(v)
         free.remove(v)
-    return order
+    rest = [0]
+    for edges in reversed(back):
+        rest.append(rest[-1] + sum(m for _, m in edges))
+    return tuple(order), tuple(back), tuple(reversed(rest))
 
 
-def _check_map_cap(h: Multigraph, g: Multigraph, pinned, limits: Limits):
-    free = h.vertex_count - len(pinned)
-    if g.vertex_count and g.vertex_count ** free > limits.max_maps:
-        raise CapExceeded(
-            f"vertex-map search space {g.vertex_count}^{free} exceeds the cap")
+def _matrix(g: Multigraph) -> list[list[int]]:
+    """Integer adjacency matrix: entry [a][b] is the a-b edge multiplicity."""
+    mat = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for (u, v), m in g.pairs:
+        mat[u][v] = mat[v][u] = m
+    return mat
+
+
+def _cap_exceeded(nodes: int, limits: Limits) -> CapExceeded:
+    return CapExceeded(
+        f"morphism search visited {nodes} nodes, over the max_maps cap of "
+        f"{limits.max_maps} (raise it with --max-maps)")
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -61,133 +81,150 @@ def count_hom(h: Multigraph, g: Multigraph, *,
     if h.edge_count and not g.pairs:
         return 0
     pinned = _pinned_vertices(h, g)
-    _check_map_cap(h, g, pinned, limits)
-    order = _search_order(h, pinned)
-    adj_h = _adjacency(h)
-    assign = dict(pinned)
-    gv = range(g.vertex_count)
-
-    placed_before: list[list[tuple[int, int]]] = []
-    seen = set(pinned)
-    for v in order:
-        placed_before.append([(w, m) for w, m in adj_h[v].items() if w in seen])
-        seen.add(v)
-
+    mult = _matrix(g)
     pinned_factor = 1
     for (u, v), m in h.pairs:
         if u in pinned and v in pinned:
-            pinned_factor *= g.multiplicity(assign[u], assign[v]) ** m
+            pinned_factor *= mult[pinned[u]][pinned[v]] ** m
     if pinned_factor == 0:
         return 0
+    if h.vertex_count == 0:
+        return 1
+    if g.vertex_count == 0:
+        return 0
+    order, back, _ = _search_plan(h)
+    assign = [0] * h.vertex_count
+    for v, c in pinned.items():
+        assign[v] = c
+    depth = len(order)
+    cap = limits.max_maps
+    nodes = 0
 
     def rec(i: int) -> int:
-        if i == len(order):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise _cap_exceeded(nodes, limits)
+        if i == depth:
             return 1
         v = order[i]
         total = 0
-        for c in gv:
+        for c, row in enumerate(mult):
             f = 1
-            for w, m in placed_before[i]:
-                mult = g.multiplicity(c, assign[w])
-                if mult == 0:
+            for w, m in back[i]:
+                x = row[assign[w]]
+                if not x:
                     f = 0
                     break
-                f *= mult ** m
+                f *= x ** m
             if f:
                 assign[v] = c
                 total += f * rec(i + 1)
         return total
 
-    if h.vertex_count == 0:
-        return 1
-    if g.vertex_count == 0:
-        return 0
     # Pinned-only edge factors were separated above; edges with one pinned
-    # endpoint are picked up by placed_before since pinned vertices are seen.
+    # endpoint are in the back edges since pinned vertices are placed first.
     return pinned_factor * rec(0)
 
 
-def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, leaf_weight, *,
+def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                                limits: Limits) -> int:
-    """Sum leaf_weight(assign) over vertex maps h -> g that are surjective and
-    send every h-edge onto a g-pair that carries at least one edge."""
+    """Sum over surjections psi: h ->> g of the number of edge maps, times
+    prod_v (k)_(|psi^-1(v)|) when k is given.
+
+    All the pruning lives here, so every caller gets it.  Before the search:
+    h needs at least as many vertices, distinct pairs and edges as g.
+    During it, a branch is cut when the g-vertices not yet covered outnumber
+    the h-vertices left, or when the g-edge mass not yet covered exceeds the
+    h-edge mass left to place.  With k given, a fiber larger than k has
+    weight 0, so no branch grows one.
+    """
+    nv = g.vertex_count
+    if (h.vertex_count < nv or len(h.pairs) < len(g.pairs)
+            or h.edge_count < g.edge_count):
+        return 0
     pinned = _pinned_vertices(h, g)
-    _check_map_cap(h, g, pinned, limits)
-    if g.vertex_count == 0:
-        return leaf_weight({}) if h.vertex_count == 0 else 0
-    order = _search_order(h, pinned)
-    adj_h = _adjacency(h)
-    assign = dict(pinned)
-    coverage = [0] * g.vertex_count
-    for c in pinned.values():
+    if nv == 0:
+        return 1 if h.vertex_count == 0 else 0
+    mult = _matrix(g)
+    load = [[0] * nv for _ in range(nv)]
+    coverage = [0] * nv
+    assign = [0] * h.vertex_count
+    for v, c in pinned.items():
+        assign[v] = c
         coverage[c] += 1
-    uncovered = g.vertex_count - sum(1 for c in coverage if c)
-
-    placed_before: list[list[int]] = []
-    seen = set(pinned)
-    for v in order:
-        placed_before.append([w for w in adj_h[v] if w in seen])
-        seen.add(v)
-
-    for (u, v), _ in h.pairs:
-        if u in pinned and v in pinned and g.multiplicity(assign[u], assign[v]) == 0:
-            return 0
-
+    for (u, v), m in h.pairs:
+        if u in pinned and v in pinned:
+            a, b = pinned[u], pinned[v]
+            if mult[a][b] == 0:
+                return 0
+            load[a][b] += m
+            load[b][a] += m
+    order, back, rest = _search_plan(h)
+    depth = len(order)
+    uncovered = sum(1 for size in coverage if size == 0)
+    missing = sum(max(0, m - load[a][b]) for (a, b), m in g.pairs)
+    if uncovered > depth or missing > rest[0]:
+        return 0
+    fiber_cap = h.vertex_count if k is None else k
+    cap = limits.max_maps
+    nodes = 0
     total = 0
 
-    def rec(i: int, uncovered: int):
-        nonlocal total
-        remaining = len(order) - i
-        if uncovered > remaining:
-            return
-        if i == len(order):
-            total += leaf_weight(assign)
+    def rec(i: int, uncovered: int, missing: int):
+        nonlocal nodes, total
+        nodes += 1
+        if nodes > cap:
+            raise _cap_exceeded(nodes, limits)
+        if i == depth:
+            ways = 1
+            for (a, b), m in g.pairs:
+                ways *= _count_surjections(load[a][b], m)
+            if k is not None:
+                for size in coverage:
+                    ways *= perm(k, size)
+            total += ways
             return
         v = order[i]
-        for c in range(g.vertex_count):
-            ok = True
-            for w in placed_before[i]:
-                if g.multiplicity(c, assign[w]) == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[v] = c
+        edges = back[i]
+        free_after = depth - i - 1
+        mass_after = rest[i + 1]
+        for c in range(nv):
             fresh = coverage[c] == 0
-            coverage[c] += 1
-            rec(i + 1, uncovered - fresh)
-            coverage[c] -= 1
-            del assign[v]
-        return
+            if uncovered - fresh > free_after or coverage[c] == fiber_cap:
+                continue
+            row = mult[c]
+            for w, _ in edges:
+                if not row[assign[w]]:
+                    break
+            else:
+                lrow = load[c]
+                gained = 0
+                for w, m in edges:
+                    d = assign[w]
+                    short = row[d] - lrow[d]
+                    if short > 0:
+                        gained += m if m < short else short
+                    lrow[d] += m
+                    load[d][c] += m
+                if missing - gained <= mass_after:
+                    assign[v] = c
+                    coverage[c] += 1
+                    rec(i + 1, uncovered - fresh, missing - gained)
+                    coverage[c] -= 1
+                for w, m in edges:
+                    d = assign[w]
+                    lrow[d] -= m
+                    load[d][c] -= m
 
-    rec(0, uncovered)
+    rec(0, uncovered, missing)
     return total
-
-
-def _edge_surjection_count(h: Multigraph, g: Multigraph, assign) -> int:
-    load: dict[tuple[int, int], int] = {}
-    for (u, v), m in h.pairs:
-        a, b = assign[u], assign[v]
-        key = (a, b) if a < b else (b, a)
-        load[key] = load.get(key, 0) + m
-    count = 1
-    for pair, m in g.pairs:
-        count *= _count_surjections(load.get(pair, 0), m)
-        if count == 0:
-            return 0
-    return count
 
 
 def count_surj(h: Multigraph, g: Multigraph, *,
                limits: Limits = DEFAULT_LIMITS) -> int:
     """Number of morphisms h -> g with both the vertex and edge map surjective."""
-    if h.edge_count < g.edge_count:
-        return 0
-
-    def leaf(assign) -> int:
-        return _edge_surjection_count(h, g, assign)
-
-    return _surjective_vertex_map_sum(h, g, leaf, limits=limits)
+    return _surjective_vertex_map_sum(h, g, None, limits=limits)
 
 
 def count_aut(h: Multigraph, *, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -202,22 +239,7 @@ def surjection_weight_sum(h: Multigraph, g: Multigraph, k: int, *,
     The weight is the falling factorial of k at the vertex-fiber size; it
     depends on the vertex map only, so edge maps contribute a plain count.
     """
-
-    def leaf(assign) -> int:
-        edge_ways = _edge_surjection_count(h, g, assign)
-        if edge_ways == 0:
-            return 0
-        fiber = [0] * g.vertex_count
-        for c in assign.values():
-            fiber[c] += 1
-        weight = 1
-        for size in fiber:
-            weight *= perm(k, size)
-            if weight == 0:
-                return 0
-        return edge_ways * weight
-
-    return _surjective_vertex_map_sum(h, g, leaf, limits=limits)
+    return _surjective_vertex_map_sum(h, g, k, limits=limits)
 
 
 def t_combinatorial(h: Multigraph, g: Multigraph, *,

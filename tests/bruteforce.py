@@ -1,16 +1,19 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: full permutation scans, explicit
-enumeration of vertex and edge maps, exhaustive subset searches.  None of it
-shares code with the production implementations, except that the
-fixed-vertex-count enumeration dedups and orders by `canonical_key`.
+enumeration of vertex and edge maps, exhaustive subset searches, and the
+library's earlier implementations, kept as references for the code that
+replaced them (the plain backtracking surjection search and the dense
+Gaussian elimination).  None of it shares code with the production
+implementations, except that the fixed-vertex-count enumeration dedups and
+orders by `canonical_key`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from graphoncalc import Multigraph, StepKernel, canonical_key
 
@@ -168,6 +171,106 @@ def inclusion_exclusion_surj(h: Multigraph, g: Multigraph) -> int:
     return total
 
 
+def _surjection_count(c: int, m: int) -> int:
+    """Number of surjective maps from a c-element set onto an m-element set."""
+    return sum((-1) ** i * comb(m, i) * (m - i) ** c for i in range(m + 1))
+
+
+def _backtrack_surjections(h: Multigraph, g: Multigraph, leaf_weight) -> int:
+    """Sum leaf_weight(assign) over vertex maps h -> g that are surjective and
+    send every h-edge onto a g-pair that carries at least one edge: plain
+    backtracking with only the edge-support and vertex-coverage prunes."""
+    if h.k != g.k:
+        raise ValueError("label counts must match")
+    g_label = g.label_map
+    pinned = {v: g_label[lab] for lab, v in h.labels}
+    if g.vertex_count == 0:
+        return leaf_weight({}) if h.vertex_count == 0 else 0
+    adj: dict[int, set[int]] = {v: set() for v in range(h.vertex_count)}
+    for (u, v), _ in h.pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    placed = set(pinned)
+    order: list[int] = []
+    free = [v for v in range(h.vertex_count) if v not in pinned]
+    while free:
+        v = max(free, key=lambda u: (sum(1 for w in adj[u] if w in placed), -u))
+        order.append(v)
+        placed.add(v)
+        free.remove(v)
+    assign = dict(pinned)
+    coverage = [0] * g.vertex_count
+    for c in pinned.values():
+        coverage[c] += 1
+
+    placed_before: list[list[int]] = []
+    seen = set(pinned)
+    for v in order:
+        placed_before.append([w for w in adj[v] if w in seen])
+        seen.add(v)
+
+    for (u, v), _ in h.pairs:
+        if u in pinned and v in pinned and g.multiplicity(assign[u], assign[v]) == 0:
+            return 0
+
+    total = 0
+
+    def rec(i: int, uncovered: int):
+        nonlocal total
+        if uncovered > len(order) - i:
+            return
+        if i == len(order):
+            total += leaf_weight(assign)
+            return
+        v = order[i]
+        for c in range(g.vertex_count):
+            if any(g.multiplicity(c, assign[w]) == 0 for w in placed_before[i]):
+                continue
+            assign[v] = c
+            fresh = coverage[c] == 0
+            coverage[c] += 1
+            rec(i + 1, uncovered - fresh)
+            coverage[c] -= 1
+            del assign[v]
+
+    rec(0, g.vertex_count - sum(1 for c in coverage if c))
+    return total
+
+
+def _edge_surjection_count(h: Multigraph, g: Multigraph, assign) -> int:
+    load: dict[tuple[int, int], int] = {}
+    for (u, v), m in h.pairs:
+        a, b = assign[u], assign[v]
+        key = (a, b) if a < b else (b, a)
+        load[key] = load.get(key, 0) + m
+    count = 1
+    for pair, m in g.pairs:
+        count *= _surjection_count(load.get(pair, 0), m)
+    return count
+
+
+def backtrack_surj(h: Multigraph, g: Multigraph) -> int:
+    """Surjective morphism count by the plain backtracking search."""
+    return _backtrack_surjections(
+        h, g, lambda assign: _edge_surjection_count(h, g, assign))
+
+
+def backtrack_surjection_weight_sum(h: Multigraph, g: Multigraph, k: int) -> int:
+    """Sum over surjections of prod_v (k)_(|fiber of v|), by the plain
+    backtracking search."""
+
+    def leaf(assign) -> int:
+        fiber = [0] * g.vertex_count
+        for c in assign.values():
+            fiber[c] += 1
+        weight = 1
+        for size in fiber:
+            weight *= perm(k, size)
+        return _edge_surjection_count(h, g, assign) * weight
+
+    return _backtrack_surjections(h, g, leaf)
+
+
 def classical_simple_hom(h: Multigraph, g: Multigraph) -> int:
     """Adjacency-only homomorphism count; valid when g is simple."""
     assert g.is_simple() and not h.k and not g.k
@@ -178,6 +281,88 @@ def classical_simple_hom(h: Multigraph, g: Multigraph) -> int:
         if all((images[u], images[v]) in adj for (u, v), _ in h.pairs):
             count += 1
     return count
+
+
+def _fraction_rows(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def gauss_determinant(rows) -> Fraction:
+    """Dense Gaussian elimination with the first nonzero pivot."""
+    m = _fraction_rows(rows)
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def gauss_solve(rows, rhs) -> list[Fraction]:
+    """Dense Gaussian elimination and back substitution; raises ValueError
+    when the matrix is singular."""
+    m = _fraction_rows(rows)
+    n = len(m)
+    b = [Fraction(x) for x in rhs]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+            b[r] -= factor * b[col]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n):
+            acc -= m[r][c] * x[c]
+        x[r] = acc / m[r][r]
+    return x
+
+
+def gauss_rank(rows) -> int:
+    """Dense Gaussian elimination over the columns, counting pivots."""
+    m = _fraction_rows(rows)
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        for i in range(r + 1, n_rows):
+            if m[i][col] == 0:
+                continue
+            factor = m[i][col] * inv
+            for c in range(col, n_cols):
+                m[i][c] -= factor * m[r][c]
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 def cut_norm_subset_oracle(f: StepKernel) -> Fraction:
@@ -224,3 +409,55 @@ def random_multigraph(rng, max_vertices: int = 4, max_edges: int = 4,
     ne = rng.randint(1 if ensure_edge else 0, max_edges)
     edges = [rng.choice(pairs) for _ in range(ne)]
     return Multigraph(nv, edges)
+
+
+def random_labelled(rng, g: Multigraph, k: int) -> Multigraph:
+    """g with k of its vertices, chosen at random, labelled 1..k."""
+    chosen = rng.sample(range(g.vertex_count), k)
+    return Multigraph(g.vertex_count, [(u, v, m) for (u, v), m in g.pairs],
+                      dict(zip(range(1, k + 1), chosen)))
+
+
+def random_image(rng, h: Multigraph, vertices: int) -> Multigraph:
+    """The image of h under a random map onto range(vertices) that is
+    injective on the labelled vertices (which keep their labels): loops are
+    dropped and each image pair keeps between 1 and all of its copies."""
+    label_images = rng.sample(range(vertices), h.k)
+    image = [rng.randrange(vertices) for _ in range(h.vertex_count)]
+    for (lab, v), c in zip(h.labels, label_images):
+        image[v] = c
+    load: dict[tuple[int, int], int] = {}
+    for (u, v), m in h.pairs:
+        a, b = sorted((image[u], image[v]))
+        if a != b:
+            load[(a, b)] = load.get((a, b), 0) + m
+    edges = [(a, b, rng.randint(1, m)) for (a, b), m in load.items()]
+    return Multigraph(vertices, edges,
+                      {lab: c for (lab, _), c in zip(h.labels, label_images)})
+
+
+def random_matrix(rng, kind: str, n: int) -> list[list[Fraction]]:
+    """An n x n matrix of small Fractions: "dense", "sparse" (~80 % zeros),
+    "singular" (one row a combination of two others, or zero), or
+    "triangular" (upper triangular, nonzero diagonal, rows shuffled)."""
+
+    def cell(zero_frac: float) -> Fraction:
+        if rng.random() < zero_frac:
+            return Fraction(0)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                        rng.randint(1, 6))
+
+    zero_frac = {"dense": 0.0, "sparse": 0.8, "singular": 0.3,
+                 "triangular": 0.5}[kind]
+    rows = [[cell(zero_frac) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        i, j, l = (rng.randrange(n) for _ in range(3))
+        a, b = cell(0.3), cell(0.3)
+        rows[i] = ([a * x + b * y for x, y in zip(rows[j], rows[l])]
+                   if i not in (j, l) else [Fraction(0)] * n)
+    elif kind == "triangular":
+        for r in range(n):
+            rows[r][:r] = [Fraction(0)] * r
+            rows[r][r] = cell(0.0)
+        rng.shuffle(rows)
+    return rows

@@ -5,7 +5,9 @@ import pytest
 
 from graphoncalc import graph_to_json, kernel_to_json, quantum_to_json
 from graphoncalc import (Multigraph, QuantumGraph, StepKernel, complete_graph,
-                         graph_from_json, kernel_from_json, single_edge)
+                         graph_from_json, kernel_from_json, matching,
+                         single_edge)
+from graphoncalc import cli
 from graphoncalc.cli import run
 
 
@@ -49,6 +51,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+
+class TestCapFlags:
+    @pytest.mark.parametrize("flag, field", [("--max-maps", "max_maps"),
+                                             ("--max-classes", "max_classes"),
+                                             ("--max-cut-parts", "max_cut_parts")])
+    def test_flag_reaches_limits(self, monkeypatch, flag, field):
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "aut",
+                            lambda args, limits: seen.append(limits) or 0)
+        assert run([flag, "7", "aut", "--graph", "unread.json"]) == 0
+        assert getattr(seen[0], field) == 7
+
+    def test_aut_of_matching(self, files, capsys):
+        m4 = files("m4.json", graph_to_json(matching(4)))
+        assert run(["aut", "--graph", m4]) == 0
+        assert capsys.readouterr().out.strip() == "384"
+        assert run(["--max-maps", "10", "aut", "--graph", m4]) == 2
+        assert "--max-maps" in capsys.readouterr().err
 
 
 class TestSubcommands:

@@ -3,14 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from graphoncalc import (Multigraph, canonical_key, complete_graph, count_aut,
-                         count_hom, count_surj, enumerate_Hn, matching,
-                         parallel_edges, path_graph, single_edge, star_graph,
-                         t_combinatorial)
+from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
+                         canonical_key, complete_graph, count_aut, count_hom,
+                         count_surj, enumerate_Hn, matching, parallel_edges,
+                         path_graph, single_edge, star_graph, t_combinatorial)
+from graphoncalc.morphisms import surjection_weight_sum
 
-from .bruteforce import (brute_hom, brute_surj, classical_simple_hom,
-                         inclusion_exclusion_surj)
+from .bruteforce import (backtrack_surj, backtrack_surjection_weight_sum,
+                         brute_hom, brute_surj, classical_simple_hom,
+                         inclusion_exclusion_surj, random_image,
+                         random_labelled, random_multigraph)
 
 
 class TestHom:
@@ -98,6 +102,52 @@ class TestSurj:
                 for c in keys:
                     if surjects[(a, b)] and surjects[(b, c)]:
                         assert surjects[(a, c)]
+
+
+class TestRandomPairsAgainstOracles:
+    """Labelled and unlabelled random pairs: the pruned surjection search
+    against the plain backtracking search it replaced (half the targets are
+    random images of the source, so that surjections exist), and count_hom
+    against explicit enumeration."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+           st.integers(1, 3), st.booleans())
+    def test_counts_and_weighted_sums(self, rng, labels, k, image):
+        h = random_labelled(rng, random_multigraph(rng, 5, 5), labels)
+        if image:
+            g = random_image(rng, h, rng.randint(max(labels, 1), 4))
+        else:
+            g = random_labelled(rng, random_multigraph(rng, 4, 4), labels)
+        assert count_surj(h, g) == backtrack_surj(h, g)
+        assert surjection_weight_sum(h, g, k) == \
+            backtrack_surjection_weight_sum(h, g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_hom_matches_explicit_enumeration(self, rng, labels):
+        h = random_labelled(rng, random_multigraph(rng, 4, 3), labels)
+        g = random_labelled(rng, random_multigraph(rng, 3, 3), labels)
+        assert count_hom(h, g) == brute_hom(h, g)
+
+    def test_labelled_class_pairs(self):
+        classes = enumerate_Hn(3, 1)
+        for h in classes:
+            for g in classes:
+                assert count_surj(h, g) == backtrack_surj(h, g)
+
+
+class TestWorkCap:
+    def test_matching_within_default_caps(self):
+        # the whole map space is 8^8 > max_maps; the search visits far less
+        assert count_aut(matching(4), limits=DEFAULT_LIMITS) == 384
+
+    def test_tiny_cap_raises(self):
+        tiny = Limits(max_maps=10)
+        with pytest.raises(CapExceeded, match="max_maps.*--max-maps"):
+            count_aut(matching(4), limits=tiny)
+        with pytest.raises(CapExceeded, match="visited 11 nodes"):
+            count_hom(matching(4), single_edge(), limits=tiny)
 
 
 class TestAut:
