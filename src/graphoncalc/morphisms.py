@@ -139,11 +139,11 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     h-edge mass left to place.  With k given, a fiber larger than k has
     weight 0, so no branch grows one.
     """
+    pinned = _pinned_vertices(h, g)
     nv = g.vertex_count
     if (h.vertex_count < nv or len(h.pairs) < len(g.pairs)
             or h.edge_count < g.edge_count):
         return 0
-    pinned = _pinned_vertices(h, g)
     if nv == 0:
         return 1 if h.vertex_count == 0 else 0
     mult = _matrix(g)

@@ -84,6 +84,19 @@ class TestSurj:
         assert count_surj(e2, e2) == brute_surj(e2, e2) == 2
         assert count_surj(e1, e2) == brute_surj(e1, e2) == 0
 
+    @pytest.mark.parametrize("h, g", [
+        # in the first and last pair h is smaller than g, so the up-front
+        # checks alone would answer 0
+        (Multigraph(2, [(0, 1)], {1: 0}), complete_graph(3)),
+        (Multigraph(3, [(1, 2)], {1: 0}), single_edge()),
+        (single_edge(), Multigraph(3, [(0, 1), (1, 2)], {1: 0})),
+    ])
+    def test_label_count_mismatch_raises(self, h, g):
+        with pytest.raises(ValueError, match="label counts"):
+            count_surj(h, g)
+        with pytest.raises(ValueError, match="label counts"):
+            surjection_weight_sum(h, g, 2)
+
     def test_dominated_by_hom(self):
         pool = [g for n in (1, 2, 3) for g in enumerate_Hn(n)]
         for h in pool:
