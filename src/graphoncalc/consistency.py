@@ -54,7 +54,7 @@ class ConsistencyMatrix:
         return (self.n, self.k, self.entries) == (other.n, other.k, other.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
     classes = enumerate_Hn(n, limits=limits)
     entries: dict[tuple[bytes, bytes], int] = {}

@@ -8,16 +8,24 @@ density carries an individual kernel on every edge copy, which is the shape
 produced by differentiating densities, so the evaluator here is the single
 computational core for the whole calculus.
 
-Evaluation runs over integer matrices (one common denominator per kernel)
-with backtracking and zero-pruning, so sparse kernels such as basis edges
-cost almost nothing.
+Evaluation runs over integer matrices (one common denominator per kernel).
+The core places one free vertex per search level, multiplies the matrix
+rows its already-placed neighbours select into one vector over parts, and
+descends only into nonzero entries, so sparse kernels such as basis edges
+cost almost nothing.  A level's subtotal depends only on the parts of its
+separator, the placed vertices that a later factor still reads, so it is
+computed once per separator assignment (recursive conditioning): stars and
+paths cost O(|V| p^2), cycles O(|V| p^3), and only dense graphs such as
+cliques pay for the full search.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
@@ -86,83 +94,109 @@ def _resolve_pins(g: Multigraph, pins: Pins, p: int) -> dict[int, int]:
             for lab in label_map}
 
 
+@lru_cache(maxsize=1024)
+def _plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
+          pinned: frozenset[int]) -> tuple[tuple[int, ...], tuple[tuple, ...],
+                                           tuple[int, ...], tuple]:
+    """The search plan of `_integrate` for factors on `pairs`: the free
+    vertices in order; for each level, the (neighbour, factor index) of the
+    factors whose other endpoint is pinned or placed earlier; the factors
+    with both endpoints pinned; and for each level its separator, the placed
+    free vertices that a factor at this level or later still reads, or None
+    where that is every placed free vertex and a cache could never hit.
+
+    Each next vertex touches as many placed vertices as possible, so a
+    branch meets its factors, and their zeros, early.
+    """
+    touching: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for idx, (u, v) in enumerate(pairs):
+        touching[u].append((v, idx))
+        touching[v].append((u, idx))
+    placed = set(pinned)
+    order: list[int] = []
+    levels: list[tuple[tuple[int, int], ...]] = []
+    pending = [v for v in range(vertex_count) if v not in pinned]
+    while pending:
+        v = max(pending, key=lambda w: (
+            sum(1 for x, _ in touching[w] if x in placed), -w))
+        order.append(v)
+        levels.append(tuple((x, idx) for x, idx in touching[v] if x in placed))
+        placed.add(v)
+        pending.remove(v)
+    last_read = {x: i for i, ready in enumerate(levels) for x, _ in ready}
+    separators = []
+    for i in range(len(order)):
+        sep = tuple(w for w in order[:i] if last_read.get(w, -1) >= i)
+        separators.append(sep if len(sep) < i else None)
+    both_pinned = tuple(idx for idx, (u, v) in enumerate(pairs)
+                        if u in pinned and v in pinned)
+    return tuple(order), tuple(levels), both_pinned, tuple(separators)
+
+
 def _integrate(vertex_count: int, p: int,
                factors: list[tuple[int, int, tuple, int]],
                fixed: dict[int, int], *, limits: Limits) -> int:
     """Integer part of sum over maps tau of prod factor_matrix[tau u][tau v]^e.
 
-    `factors` entries are (u, v, integer matrix, exponent); `fixed` maps a
-    vertex to its forced part (0-based).  Vertices are placed in a
-    connectivity-first order and a branch dies as soon as a factor hits zero.
+    `factors` entries are (u, v, symmetric integer matrix, exponent); `fixed`
+    maps a vertex to its forced part (0-based).  Level i of the search places
+    the i-th free vertex of the plan: it multiplies the rows its ready
+    factors select into one vector over parts and recurses only into nonzero
+    entries.  A level's subtotal depends only on the parts of its separator,
+    so it is computed once per separator assignment.
     """
     if p > limits.max_parts:
-        raise CapExceeded(f"kernel has {p} parts, cap is {limits.max_parts}")
-    free = [v for v in range(vertex_count) if v not in fixed]
-    if len(free) > limits.max_vertices:
-        raise CapExceeded(f"{len(free)} integrated vertices, cap is "
-                          f"{limits.max_vertices}")
+        raise CapExceeded(f"kernel has {p} parts, over the max_parts cap of "
+                          f"{limits.max_parts} (raise it with --max-parts)")
+    n_free = vertex_count - len(fixed)
+    if n_free > limits.max_vertices:
+        raise CapExceeded(f"{n_free} integrated vertices, over the max_vertices "
+                          f"cap of {limits.max_vertices} "
+                          f"(raise it with --max-vertices)")
+    order, levels, both_pinned, separators = _plan(
+        vertex_count, tuple((u, v) for u, v, _, _ in factors), frozenset(fixed))
 
-    touching: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
-    for idx, (u, v, _, _) in enumerate(factors):
-        touching[u].append(idx)
-        touching[v].append(idx)
-
-    placed = set(fixed)
-    order: list[int] = []
-    pending = list(free)
-    while pending:
-        best = max(pending, key=lambda w: (
-            sum(1 for idx in touching[w]
-                if (factors[idx][0] if factors[idx][1] == w else factors[idx][1])
-                in placed), -w))
-        order.append(best)
-        placed.add(best)
-        pending.remove(best)
-
-    assign = dict(fixed)
     prefactor = 1
-    ready: list[list[tuple[int, tuple, int]]] = []
-    seen = set(fixed)
-    consumed = set()
-    for v in order:
-        here = []
-        for idx in touching[v]:
-            if idx in consumed:
-                continue
-            u, w, mat, e = factors[idx]
-            other = u if w == v else w
-            if other in seen:
-                here.append((other, mat, e))
-                consumed.add(idx)
-        ready.append(here)
-        seen.add(v)
-    for idx, (u, v, mat, e) in enumerate(factors):
-        if idx not in consumed:  # both endpoints fixed
-            prefactor *= mat[assign[u]][assign[v]] ** e
-    if prefactor == 0:
-        return 0
+    for idx in both_pinned:
+        u, v, mat, e = factors[idx]
+        prefactor *= mat[fixed[u]][fixed[v]] ** e
+    if prefactor == 0 or not order:
+        return prefactor
 
-    n_free = len(order)
+    rows = [mat if e == 1 else tuple(tuple(x ** e for x in row) for row in mat)
+            for _, _, mat, e in factors]
+    assign = [0] * vertex_count
+    for v, c in fixed.items():
+        assign[v] = c
+    caches = [None if sep is None else {} for sep in separators]
+    ones = (1,) * p
+    last = len(order) - 1
 
-    def rec(i: int, partial: int) -> int:
-        if i == n_free:
-            return partial
-        v = order[i]
-        total = 0
-        for c in range(p):
-            prod = partial
-            for other, mat, e in ready[i]:
-                val = mat[c][assign[other]]
-                if val == 0:
-                    prod = 0
-                    break
-                prod *= val ** e
-            if prod:
-                assign[v] = c
-                total += rec(i + 1, prod)
+    def rec(i: int) -> int:
+        sep = separators[i]
+        if sep is not None:
+            key = tuple([assign[w] for w in sep])
+            total = caches[i].get(key)
+            if total is not None:
+                return total
+        vec = ones
+        for x, idx in levels[i]:
+            row = rows[idx][assign[x]]
+            vec = row if vec is ones else list(map(operator.mul, vec, row))
+        if i == last:
+            total = sum(vec)
+        else:
+            v = order[i]
+            total = 0
+            for c, weight in enumerate(vec):
+                if weight:
+                    assign[v] = c
+                    total += weight * rec(i + 1)
+        if sep is not None:
+            caches[i][key] = total
         return total
 
-    return prefactor * rec(0, 1)
+    return prefactor * rec(0)
 
 
 def _evaluate(graph: Multigraph, slot_kernels: Mapping[Slot, StepKernel],

@@ -333,7 +333,7 @@ def pad_labels(g: Multigraph, k: int) -> Multigraph:
 # -- enumeration -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _enumerate_classes(n: int, k: int, limits: Limits) -> tuple[Multigraph, ...]:
     if n == 0:
         base = Multigraph(k, (), {lab: lab - 1 for lab in range(1, k + 1)})
@@ -370,7 +370,7 @@ def enumerate_Hn(n: int, k: int = 0, *,
     return _enumerate_classes(n, k, limits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _enumerate_with_vertices(n: int, p: int, limits: Limits) -> tuple[Multigraph, ...]:
     # A class on exactly p vertices is an n-edge class without isolated
     # vertices that fits in p vertices, padded with isolated ones.

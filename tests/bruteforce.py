@@ -3,17 +3,17 @@
 Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
-replaced them (the plain backtracking surjection search and the dense
-Gaussian elimination).  None of it shares code with the production
-implementations, except that the fixed-vertex-count enumeration dedups and
-orders by `canonical_key`.
+replaced them (the plain backtracking surjection search, the dense
+Gaussian elimination and the plain backtracking density core).  None of it
+shares code with the production implementations, except that the
+fixed-vertex-count enumeration dedups and orders by `canonical_key`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 from graphoncalc import Multigraph, StepKernel, canonical_key
 
@@ -363,6 +363,99 @@ def gauss_rank(rows) -> int:
         if r == n_rows:
             break
     return r
+
+
+def backtrack_integrate(vertex_count: int, p: int,
+                        factors: list[tuple[int, int, tuple, int]],
+                        fixed: dict[int, int]) -> int:
+    """Integer part of sum over maps tau of prod factor_matrix[tau u][tau v]^e.
+
+    `factors` entries are (u, v, integer matrix, exponent); `fixed` maps a
+    vertex to its forced part (0-based).  Vertices are placed in a
+    connectivity-first order and a branch dies as soon as a factor hits zero.
+    This is the plain backtracking density core without caps or caching.
+    """
+    free = [v for v in range(vertex_count) if v not in fixed]
+
+    touching: dict[int, list[int]] = {v: [] for v in range(vertex_count)}
+    for idx, (u, v, _, _) in enumerate(factors):
+        touching[u].append(idx)
+        touching[v].append(idx)
+
+    placed = set(fixed)
+    order: list[int] = []
+    pending = list(free)
+    while pending:
+        best = max(pending, key=lambda w: (
+            sum(1 for idx in touching[w]
+                if (factors[idx][0] if factors[idx][1] == w else factors[idx][1])
+                in placed), -w))
+        order.append(best)
+        placed.add(best)
+        pending.remove(best)
+
+    assign = dict(fixed)
+    prefactor = 1
+    ready: list[list[tuple[int, tuple, int]]] = []
+    seen = set(fixed)
+    consumed = set()
+    for v in order:
+        here = []
+        for idx in touching[v]:
+            if idx in consumed:
+                continue
+            u, w, mat, e = factors[idx]
+            other = u if w == v else w
+            if other in seen:
+                here.append((other, mat, e))
+                consumed.add(idx)
+        ready.append(here)
+        seen.add(v)
+    for idx, (u, v, mat, e) in enumerate(factors):
+        if idx not in consumed:  # both endpoints fixed
+            prefactor *= mat[assign[u]][assign[v]] ** e
+    if prefactor == 0:
+        return 0
+
+    n_free = len(order)
+
+    def rec(i: int, partial: int) -> int:
+        if i == n_free:
+            return partial
+        v = order[i]
+        total = 0
+        for c in range(p):
+            prod = partial
+            for other, mat, e in ready[i]:
+                val = mat[c][assign[other]]
+                if val == 0:
+                    prod = 0
+                    break
+                prod *= val ** e
+            if prod:
+                assign[v] = c
+                total += rec(i + 1, prod)
+        return total
+
+    return prefactor * rec(0, 1)
+
+
+def backtrack_density(vertex_count: int, p: int,
+                      factors: list[tuple[int, int, StepKernel, int]],
+                      fixed: dict[int, int]) -> Fraction:
+    """Density of the factors (u, v, p-part kernel, exponent) with the
+    `fixed` vertices pinned to 0-based parts, by `backtrack_integrate` over
+    integer matrices (one common denominator per kernel)."""
+    int_factors = []
+    denominator = 1
+    for u, v, f, e in factors:
+        denom = lcm(*(x.denominator for row in f.matrix for x in row))
+        ints = tuple(tuple(x.numerator * (denom // x.denominator) for x in row)
+                     for row in f.matrix)
+        int_factors.append((u, v, ints, e))
+        denominator *= denom ** e
+    numerator = backtrack_integrate(vertex_count, p, int_factors, fixed)
+    return Fraction(numerator, denominator * p ** (vertex_count - len(fixed)))
 
 
 def cut_norm_subset_oracle(f: StepKernel) -> Fraction:

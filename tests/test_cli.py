@@ -49,6 +49,12 @@ class TestExitCodes:
         assert run(["density", "--graph", big, "--kernel", kern]) == 2
         assert "resource cap" in capsys.readouterr().err
 
+    def test_density_parts_cap_names_its_flag(self, files, capsys):
+        kern = files("kern.json", _kernel_json(parts=13))
+        k2 = files("k2.json", _k2_json())
+        assert run(["density", "--graph", k2, "--kernel", kern]) == 2
+        assert "--max-parts" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphoncalc import (ARG, DecoratedDensity, Multigraph, StepKernel,
                          basis_edge, density, enumerate_Hn, eval_decorated,
@@ -11,7 +12,8 @@ from graphoncalc import (ARG, DecoratedDensity, Multigraph, StepKernel,
                          single_edge, star_graph, t_combinatorial)
 from graphoncalc.limits import CapExceeded, Limits
 
-from .bruteforce import random_kernel, random_multigraph
+from .bruteforce import (backtrack_density, random_kernel, random_labelled,
+                         random_multigraph, random_signed_kernel)
 
 
 class TestUnlabelledDensity:
@@ -79,6 +81,84 @@ class TestUnlabelledDensity:
         big = StepKernel.zero(13)
         with pytest.raises(CapExceeded):
             density(single_edge(), big)
+
+    def test_cap_messages_name_the_field_and_the_flag(self):
+        with pytest.raises(CapExceeded, match=r"kernel has 13 parts, over the "
+                           r"max_parts cap of 12 \(raise it with --max-parts\)"):
+            density(single_edge(), StepKernel.zero(13))
+        with pytest.raises(CapExceeded, match=r"10 integrated vertices, over "
+                           r"the max_vertices cap of 8 \(raise it with "
+                           r"--max-vertices\)"):
+            density(star_graph(9), StepKernel.constant(Fraction(1, 2)))
+
+
+class TestTreesOnManyParts:
+    """Stars and paths on 8 vertices over a dense 12-part kernel at the
+    default caps, against closed forms: the plain backtracking core needed
+    12^8 maps for each."""
+
+    P = 12
+
+    def _kernel(self):
+        return random_kernel(random.Random(21), self.P, lo=1)
+
+    def test_star7_is_the_row_sum_moment(self):
+        f = self._kernel()
+        expect = Fraction(sum(sum(row) ** 7 for row in f.matrix), self.P ** 8)
+        assert density(star_graph(7), f) == expect
+
+    def test_path7_is_a_matrix_power(self):
+        f = self._kernel()
+        vec = [Fraction(1)] * self.P
+        for _ in range(7):
+            vec = [sum(x * y for x, y in zip(row, vec)) for row in f.matrix]
+        assert density(path_graph(7), f) == sum(vec) / self.P ** 8
+
+
+class TestCoreAgainstBacktracking:
+    """density, labelled_density and eval_decorated against the plain
+    backtracking core they replaced, on random multigraphs (parallel edges,
+    isolated vertices, no edges at all) with 0-2 pinned labels and dense,
+    sparse, signed or basis-edge kernels on 1-8 parts."""
+
+    KINDS = ("dense", "sparse", "signed", "basis")
+
+    @staticmethod
+    def _kernel(rng, kind, parts):
+        if kind == "basis" and parts > 1:
+            a, b = sorted(rng.sample(range(1, parts + 1), 2))
+            return basis_edge(parts, a, b)
+        if kind == "dense":
+            return random_kernel(rng, parts, lo=1)
+        if kind == "signed":
+            return random_signed_kernel(rng, parts, denominator=3)
+        return random_kernel(rng, parts, denominator=2)  # 1/3 of cells zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+           st.integers(1, 8), st.sampled_from(KINDS), st.booleans())
+    def test_matches_oracle(self, rng, labels, parts, kind, ensure_edge):
+        g = random_multigraph(rng, 5, 6, ensure_edge=ensure_edge)
+        h = random_labelled(rng, g, labels)
+        f = self._kernel(rng, kind, parts)
+        factors = [(u, v, f, m) for (u, v), m in g.pairs]
+        assert density(g, f) == backtrack_density(
+            g.vertex_count, parts, factors, {})
+
+        part = {lab: rng.randrange(parts) for lab, _ in h.labels}
+        pins = {lab: Fraction(2 * c + 1, 2 * parts) for lab, c in part.items()}
+        fixed = {v: part[lab] for lab, v in h.labels}
+        assert labelled_density(h, f, pins) == backtrack_density(
+            h.vertex_count, parts, factors, fixed)
+
+        slots = {(u, v, i): rng.choice(
+                     [ARG, self._kernel(rng, rng.choice(self.KINDS), parts)])
+                 for (u, v), m in h.pairs for i in range(m)}
+        d = DecoratedDensity.build(h, slots, pins)
+        copies = [(u, v, f if k is ARG else k, 1)
+                  for (u, v, _), k in slots.items()]
+        assert eval_decorated(d, f) == backtrack_density(
+            h.vertex_count, parts, copies, fixed)
 
 
 class TestLabelledDensity:
