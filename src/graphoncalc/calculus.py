@@ -70,12 +70,12 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
         slots = [(u, v, i) for (u, v), mult in H.pairs for i in range(mult)]
         if m > len(slots):
             continue
-        for chosen in itertools.combinations(range(len(slots)), m):
-            for assignment in itertools.permutations(range(m)):
-                slot_kernels = {slot: base for slot in slots}
-                for pos, dir_index in zip(chosen, assignment):
-                    slot_kernels[slots[pos]] = dirs[dir_index]
-                total += coeff * _evaluate(H, slot_kernels, {}, limits=limits)
+        # chosen[j] is the slot that carries direction j
+        for chosen in itertools.permutations(range(len(slots)), m):
+            slot_kernels = {slot: base for slot in slots}
+            for pos, direction in zip(chosen, dirs):
+                slot_kernels[slots[pos]] = direction
+            total += coeff * _evaluate(H, slot_kernels, {}, limits=limits)
     return total
 
 

@@ -16,7 +16,14 @@ cost almost nothing.  A level's subtotal depends only on the parts of its
 separator, the placed vertices that a later factor still reads, so it is
 computed once per separator assignment (recursive conditioning): stars and
 paths cost O(|V| p^2), cycles O(|V| p^3), and only dense graphs such as
-cliques pay for the full search.
+cliques pay for the full search.  Every level computed (a cache miss) is a
+search node, counted against `max_maps`.
+
+The same core counts homomorphisms: hom(h, g) is the sum over vertex maps
+with g's integer adjacency matrix as the matrix of every pair of h (see
+`morphisms.count_hom`), and the surjection search takes its vertex order
+from `_plan`.  The `max_parts` and `max_vertices` caps belong to the density
+entry points, not to the core.
 """
 
 from __future__ import annotations
@@ -94,6 +101,24 @@ def _resolve_pins(g: Multigraph, pins: Pins, p: int) -> dict[int, int]:
             for lab in label_map}
 
 
+def _cap_exceeded(nodes: int, limits: Limits) -> CapExceeded:
+    """The error of a search (density or morphism) past its node budget."""
+    return CapExceeded(
+        f"search visited {nodes} nodes, over the max_maps cap of "
+        f"{limits.max_maps} (raise it with --max-maps)")
+
+
+def _check_caps(p: int, n_free: int, limits: Limits) -> None:
+    """The size caps of a density: parts of the kernel, integrated vertices."""
+    if p > limits.max_parts:
+        raise CapExceeded(f"kernel has {p} parts, over the max_parts cap of "
+                          f"{limits.max_parts} (raise it with --max-parts)")
+    if n_free > limits.max_vertices:
+        raise CapExceeded(f"{n_free} integrated vertices, over the max_vertices "
+                          f"cap of {limits.max_vertices} "
+                          f"(raise it with --max-vertices)")
+
+
 @lru_cache(maxsize=1024)
 def _plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
           pinned: frozenset[int]) -> tuple[tuple[int, ...], tuple[tuple, ...],
@@ -143,16 +168,11 @@ def _integrate(vertex_count: int, p: int,
     the i-th free vertex of the plan: it multiplies the rows its ready
     factors select into one vector over parts and recurses only into nonzero
     entries.  A level's subtotal depends only on the parts of its separator,
-    so it is computed once per separator assignment.
+    so it is computed once per separator assignment.  Each level computed
+    counts as one search node against `limits.max_maps`; the count is
+    checked before a level branches, so a search stops at most p + 1 nodes
+    past the cap.
     """
-    if p > limits.max_parts:
-        raise CapExceeded(f"kernel has {p} parts, over the max_parts cap of "
-                          f"{limits.max_parts} (raise it with --max-parts)")
-    n_free = vertex_count - len(fixed)
-    if n_free > limits.max_vertices:
-        raise CapExceeded(f"{n_free} integrated vertices, over the max_vertices "
-                          f"cap of {limits.max_vertices} "
-                          f"(raise it with --max-vertices)")
     order, levels, both_pinned, separators = _plan(
         vertex_count, tuple((u, v) for u, v, _, _ in factors), frozenset(fixed))
 
@@ -171,14 +191,18 @@ def _integrate(vertex_count: int, p: int,
     caches = [None if sep is None else {} for sep in separators]
     ones = (1,) * p
     last = len(order) - 1
+    cap = limits.max_maps
+    nodes = 0
 
     def rec(i: int) -> int:
+        nonlocal nodes
         sep = separators[i]
         if sep is not None:
             key = tuple([assign[w] for w in sep])
             total = caches[i].get(key)
             if total is not None:
                 return total
+        nodes += 1
         vec = ones
         for x, idx in levels[i]:
             row = rows[idx][assign[x]]
@@ -186,6 +210,10 @@ def _integrate(vertex_count: int, p: int,
         if i == last:
             total = sum(vec)
         else:
+            # checked where the search branches, not at the leaves, which
+            # are most of the nodes
+            if nodes > cap:
+                raise _cap_exceeded(nodes, limits)
             v = order[i]
             total = 0
             for c, weight in enumerate(vec):
@@ -210,6 +238,8 @@ def _evaluate(graph: Multigraph, slot_kernels: Mapping[Slot, StepKernel],
     else:
         p = 1
     fixed = _resolve_pins(graph, pins, p) if graph.labels else {}
+    n_free = graph.vertex_count - len(fixed)
+    _check_caps(p, n_free, limits)
 
     factors = []
     denominator = 1
@@ -218,7 +248,6 @@ def _evaluate(graph: Multigraph, slot_kernels: Mapping[Slot, StepKernel],
         factors.append((u, v, ints, 1))
         denominator *= denom
     numerator = _integrate(graph.vertex_count, p, factors, fixed, limits=limits)
-    n_free = graph.vertex_count - len(fixed)
     return Fraction(numerator, denominator * p ** n_free)
 
 
@@ -230,11 +259,7 @@ def density(h: Multigraph, f: StepKernel, *,
     """t(h, f) for an unlabelled multigraph; the empty graph has density 1."""
     if h.k:
         raise ValueError("density is for unlabelled graphs; use labelled_density")
-    denom, ints = f.integerized()
-    factors = [(u, v, ints, m) for (u, v), m in h.pairs]
-    numerator = _integrate(h.vertex_count, f.parts, factors, {}, limits=limits)
-    return Fraction(numerator,
-                    denom ** h.edge_count * f.parts ** h.vertex_count)
+    return labelled_density(h, f, {}, limits=limits)
 
 
 def labelled_density(h: Multigraph, f: StepKernel, pins: Pins, *,
@@ -242,11 +267,12 @@ def labelled_density(h: Multigraph, f: StepKernel, pins: Pins, *,
     """Density with the labelled vertices pinned to points; only unlabelled
     vertices are integrated."""
     fixed = _resolve_pins(h, pins, f.parts)
+    n_free = h.vertex_count - len(fixed)
+    _check_caps(f.parts, n_free, limits)
     denom, ints = f.integerized()
     factors = [(u, v, ints, m) for (u, v), m in h.pairs]
     numerator = _integrate(h.vertex_count, f.parts, factors, fixed,
                            limits=limits)
-    n_free = h.vertex_count - len(fixed)
     return Fraction(numerator, denom ** h.edge_count * f.parts ** n_free)
 
 

@@ -20,8 +20,10 @@ class Limits:
 
     max_parts:        largest part count a kernel may have in a density sum
     max_vertices:     largest number of integrated vertices in a density sum
-    max_maps:         most search nodes (partial vertex maps) one morphism
-                      search may visit
+    max_maps:         most search nodes (partial vertex maps) one search may
+                      visit: a surjection search, or the density core (hom
+                      counts included), where a node is a level computed
+                      rather than read from its cache
     max_index_tuples: largest k^(2n) enumeration in the fiber oracle
     max_classes:      largest isomorphism-class listing
     max_cut_parts:    largest part count for the exact cut norm (2^p search)

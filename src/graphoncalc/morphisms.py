@@ -7,17 +7,22 @@ determined by V_f; each H-copy picks one of the target copies independently.
 Surjective means both maps are surjective.  Labelled graphs constrain the
 vertex map to fix labels pointwise.
 
-All counts are exact Python integers.
+hom(h, g) is computed by the density core (`density._integrate`) on g's
+adjacency matrix; surjection counts run a pruned search of their own over
+vertex maps, in the density core's vertex order.  Both count search nodes
+against `max_maps`.  All counts are exact Python integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, perm
 
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .multigraph import Multigraph, _adjacency
+from .density import _cap_exceeded, _integrate, _plan
+from .limits import DEFAULT_LIMITS, Limits
+from .multigraph import Multigraph
 
 
 @lru_cache(maxsize=None)
@@ -40,25 +45,16 @@ def _search_plan(h: Multigraph) -> tuple[tuple[int, ...], tuple[tuple, ...],
     multiplicity) to the vertices placed before it; and for each step i, the
     h-edge mass placed at steps i, i+1, ... (one more entry, 0, at the end).
 
-    Labelled vertices are pinned, so they count as placed first.  Each next
-    vertex touches as many placed vertices as possible, which keeps the
-    backtracking prunes effective.
+    The order is the density core's plan for the distinct pairs of h with
+    the labelled vertices pinned (placed first).
     """
-    adj = _adjacency(h)
-    placed = h.labelled_vertices()
-    order: list[int] = []
-    back: list[tuple[tuple[int, int], ...]] = []
-    free = [v for v in range(h.vertex_count) if v not in placed]
-    while free:
-        v = max(free, key=lambda u: (sum(1 for w in adj[u] if w in placed), -u))
-        order.append(v)
-        back.append(tuple((w, m) for w, m in adj[v].items() if w in placed))
-        placed.add(v)
-        free.remove(v)
-    rest = [0]
-    for edges in reversed(back):
-        rest.append(rest[-1] + sum(m for _, m in edges))
-    return tuple(order), tuple(back), tuple(reversed(rest))
+    order, levels, _, _ = _plan(h.vertex_count,
+                                tuple(pair for pair, _ in h.pairs),
+                                frozenset(h.labelled_vertices()))
+    back = tuple(tuple((w, h.pairs[idx][1]) for w, idx in ready)
+                 for ready in levels)
+    mass = [sum(m for _, m in edges) for edges in back]
+    return order, back, tuple(accumulate(reversed(mass), initial=0))[::-1]
 
 
 def _matrix(g: Multigraph) -> list[list[int]]:
@@ -69,62 +65,18 @@ def _matrix(g: Multigraph) -> list[list[int]]:
     return mat
 
 
-def _cap_exceeded(nodes: int, limits: Limits) -> CapExceeded:
-    return CapExceeded(
-        f"morphism search visited {nodes} nodes, over the max_maps cap of "
-        f"{limits.max_maps} (raise it with --max-maps)")
-
-
 def count_hom(h: Multigraph, g: Multigraph, *,
               limits: Limits = DEFAULT_LIMITS) -> int:
-    """Number of node-and-edge homomorphisms h -> g."""
-    if h.edge_count and not g.pairs:
-        return 0
-    pinned = _pinned_vertices(h, g)
-    mult = _matrix(g)
-    pinned_factor = 1
-    for (u, v), m in h.pairs:
-        if u in pinned and v in pinned:
-            pinned_factor *= mult[pinned[u]][pinned[v]] ** m
-    if pinned_factor == 0:
-        return 0
-    if h.vertex_count == 0:
-        return 1
-    if g.vertex_count == 0:
-        return 0
-    order, back, _ = _search_plan(h)
-    assign = [0] * h.vertex_count
-    for v, c in pinned.items():
-        assign[v] = c
-    depth = len(order)
-    cap = limits.max_maps
-    nodes = 0
+    """Number of node-and-edge homomorphisms h -> g.
 
-    def rec(i: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise _cap_exceeded(nodes, limits)
-        if i == depth:
-            return 1
-        v = order[i]
-        total = 0
-        for c, row in enumerate(mult):
-            f = 1
-            for w, m in back[i]:
-                x = row[assign[w]]
-                if not x:
-                    f = 0
-                    break
-                f *= x ** m
-            if f:
-                assign[v] = c
-                total += f * rec(i + 1)
-        return total
-
-    # Pinned-only edge factors were separated above; edges with one pinned
-    # endpoint are in the back edges since pinned vertices are placed first.
-    return pinned_factor * rec(0)
+    This is the density core's sum over vertex maps with g's adjacency
+    matrix on every pair of h (each parallel h-copy picks a g-copy) and h's
+    labelled vertices pinned to g's.  Only `max_maps` applies.
+    """
+    mat = _matrix(g)
+    return _integrate(h.vertex_count, g.vertex_count,
+                      [(u, v, mat, m) for (u, v), m in h.pairs],
+                      _pinned_vertices(h, g), limits=limits)
 
 
 def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,

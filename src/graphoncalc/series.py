@@ -384,10 +384,6 @@ def _combine_tails_add(a: PowerSeries, b: PowerSeries, ca: Fraction, cb: Fractio
         return None, False
     if (ta.start, ta.stride) != (tb.start, tb.stride):
         return None, False
-    if ta.ratio == tb.ratio:
-        return GeometricTail(ta.start, ta.stride, ta.ratio,
-                             ca * ta.scale + cb * tb.scale,
-                             is_bound=True), False
     ratio = max(ta.ratio, tb.ratio)
     return GeometricTail(ta.start, ta.stride, ratio,
                          ca * ta.scale + cb * tb.scale, is_bound=True), False

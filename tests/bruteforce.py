@@ -3,10 +3,11 @@
 Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
-replaced them (the plain backtracking surjection search, the dense
-Gaussian elimination and the plain backtracking density core).  None of it
-shares code with the production implementations, except that the
-fixed-vertex-count enumeration dedups and orders by `canonical_key`.
+replaced them (the plain backtracking homomorphism and surjection
+searches, the dense Gaussian elimination and the plain backtracking density
+core).  None of it shares code with the production implementations, except
+that the fixed-vertex-count enumeration dedups and orders by
+`canonical_key`.
 """
 
 from __future__ import annotations
@@ -18,39 +19,48 @@ from math import comb, lcm, perm
 from graphoncalc import Multigraph, StepKernel, canonical_key
 
 
+def _encoding(g: Multigraph, perm) -> tuple:
+    """The encoding of g with vertex v moved to position perm[v]: vertex
+    count, labels by position, and the upper triangle of multiplicities."""
+    n = g.vertex_count
+    mult = [[0] * n for _ in range(n)]
+    for (u, v), m in g.pairs:
+        mult[perm[u]][perm[v]] = m
+        mult[perm[v]][perm[u]] = m
+    flat = tuple(mult[i][j] for i in range(n) for j in range(i + 1, n))
+    labs = [0] * n
+    for lab, v in g.labels:
+        labs[perm[v]] = lab
+    return (n, tuple(labs), flat)
+
+
 def brute_canonical_key(g: Multigraph) -> tuple:
     """Minimum encoding over all vertex permutations (labels at positions)."""
-    n = g.vertex_count
-    label_of = {v: lab for lab, v in g.labels}
-    best = None
-    for perm in itertools.permutations(range(n)):
-        # perm[v] = position of vertex v
-        mult = [[0] * n for _ in range(n)]
-        for (u, v), m in g.pairs:
-            mult[perm[u]][perm[v]] = m
-            mult[perm[v]][perm[u]] = m
-        flat = tuple(mult[i][j] for i in range(n) for j in range(i + 1, n))
-        labs = [0] * n
-        for v, lab in label_of.items():
-            labs[perm[v]] = lab
-        enc = (n, tuple(labs), flat)
-        if best is None or enc < best:
-            best = enc
-    return best if best is not None else (0, (), ())
+    return min(_encoding(g, perm)
+               for perm in itertools.permutations(range(g.vertex_count)))
 
 
 def brute_enumerate_Hn(n: int) -> set[tuple]:
     """Brute keys of all classes with n edges and no isolated vertices:
-    every loop-free edge multiset on at most 2n vertices."""
+    every loop-free edge multiset on at most 2n vertices.  A new class's
+    whole orbit of encodings is marked seen, so each class pays for one
+    scan of all vertex permutations and its key is the orbit's minimum."""
     if n == 0:
         return {brute_canonical_key(Multigraph(0))}
     found: set[tuple] = set()
     for nv in range(1, 2 * n + 1):
         pairs = list(itertools.combinations(range(nv), 2))
+        identity = range(nv)
+        seen: set[tuple] = set()
         for combo in itertools.combinations_with_replacement(pairs, n):
             g = Multigraph(nv, combo)
-            if all(g.degree(v) > 0 for v in range(nv)):
-                found.add(brute_canonical_key(g))
+            if (any(g.degree(v) == 0 for v in range(nv))
+                    or _encoding(g, identity) in seen):
+                continue
+            orbit = {_encoding(g, perm)
+                     for perm in itertools.permutations(range(nv))}
+            seen |= orbit
+            found.add(min(orbit))
     return found
 
 
@@ -93,6 +103,56 @@ def brute_hom(h: Multigraph, g: Multigraph) -> int:
             if ok:
                 count += 1
     return count
+
+
+def backtrack_hom(h: Multigraph, g: Multigraph) -> int:
+    """Homomorphism count by plain backtracking over vertex maps: labelled
+    vertices are pinned, the rest are placed in a connectivity-first order,
+    and each h-pair multiplies in its g-multiplicity to the power of its
+    own, so a branch dies on the first h-pair over a g-pair without edges.
+    No caps and no caching."""
+    if h.k != g.k:
+        raise ValueError("label counts must match")
+    g_label = g.label_map
+    pinned = {v: g_label[lab] for lab, v in h.labels}
+    mult = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for (a, b), m in g.pairs:
+        mult[a][b] = mult[b][a] = m
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(h.vertex_count)}
+    for (u, v), m in h.pairs:
+        adj[u][v] = adj[v][u] = m
+    prefactor = 1
+    for (u, v), m in h.pairs:
+        if u in pinned and v in pinned:
+            prefactor *= mult[pinned[u]][pinned[v]] ** m
+    placed = set(pinned)
+    order: list[int] = []
+    back: list[list[tuple[int, int]]] = []
+    free = [v for v in range(h.vertex_count) if v not in pinned]
+    while free:
+        v = max(free, key=lambda u: (sum(1 for w in adj[u] if w in placed), -u))
+        order.append(v)
+        back.append([(w, m) for w, m in adj[v].items() if w in placed])
+        placed.add(v)
+        free.remove(v)
+    assign = dict(pinned)
+
+    def rec(i: int) -> int:
+        if i == len(order):
+            return 1
+        total = 0
+        for c in range(g.vertex_count):
+            f = 1
+            for w, m in back[i]:
+                f *= mult[c][assign[w]] ** m
+                if not f:
+                    break
+            if f:
+                assign[order[i]] = c
+                total += f * rec(i + 1)
+        return total
+
+    return prefactor * rec(0) if prefactor else 0
 
 
 def brute_surj(h: Multigraph, g: Multigraph) -> int:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphoncalc import (ARG, DecoratedDensity, Multigraph, StepKernel,
-                         basis_edge, density, enumerate_Hn, eval_decorated,
-                         from_graph, glue_product, labelled_density, l1_norm,
-                         multiplicativity_check, parallel_edges, path_graph,
-                         permute_parts, pins_from_json, refine, simplify,
-                         single_edge, star_graph, t_combinatorial)
+                         basis_edge, complete_graph, density, enumerate_Hn,
+                         eval_decorated, from_graph, glue_product,
+                         labelled_density, l1_norm, multiplicativity_check,
+                         parallel_edges, path_graph, permute_parts,
+                         pins_from_json, refine, simplify, single_edge,
+                         star_graph, t_combinatorial)
 from graphoncalc.limits import CapExceeded, Limits
 
 from .bruteforce import (backtrack_density, random_kernel, random_labelled,
@@ -90,6 +91,12 @@ class TestUnlabelledDensity:
                            r"the max_vertices cap of 8 \(raise it with "
                            r"--max-vertices\)"):
             density(star_graph(9), StepKernel.constant(Fraction(1, 2)))
+
+    def test_node_cap_bounds_the_density_search(self):
+        f = random_kernel(random.Random(22), 4, lo=1)
+        with pytest.raises(CapExceeded, match=r"over the max_maps cap of 10 "
+                           r"\(raise it with --max-maps\)"):
+            density(complete_graph(4), f, limits=Limits(max_maps=10))
 
 
 class TestTreesOnManyParts:

@@ -11,8 +11,9 @@ from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
                          path_graph, single_edge, star_graph, t_combinatorial)
 from graphoncalc.morphisms import surjection_weight_sum
 
-from .bruteforce import (backtrack_surj, backtrack_surjection_weight_sum,
-                         brute_hom, brute_surj, classical_simple_hom,
+from .bruteforce import (backtrack_hom, backtrack_surj,
+                         backtrack_surjection_weight_sum, brute_hom,
+                         brute_surj, classical_simple_hom,
                          inclusion_exclusion_surj, random_image,
                          random_labelled, random_multigraph)
 
@@ -143,6 +144,17 @@ class TestRandomPairsAgainstOracles:
         g = random_labelled(rng, random_multigraph(rng, 3, 3), labels)
         assert count_hom(h, g) == brute_hom(h, g)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2), st.booleans())
+    def test_hom_matches_backtracking_on_larger_pairs(self, rng, labels, image):
+        # up to 7 source vertices and 9 edges: past what brute_hom enumerates
+        h = random_labelled(rng, random_multigraph(rng, 7, 9), labels)
+        if image:
+            g = random_image(rng, h, rng.randint(max(labels, 1), 5))
+        else:
+            g = random_labelled(rng, random_multigraph(rng, 5, 6), labels)
+        assert count_hom(h, g) == backtrack_hom(h, g)
+
     def test_labelled_class_pairs(self):
         classes = enumerate_Hn(3, 1)
         for h in classes:
@@ -161,6 +173,30 @@ class TestWorkCap:
             count_aut(matching(4), limits=tiny)
         with pytest.raises(CapExceeded, match="visited 11 nodes"):
             count_hom(matching(4), single_edge(), limits=tiny)
+
+
+class TestHomAtDefaultCaps:
+    """Trees with 10 free vertices into a 14-vertex multigraph at the default
+    caps, against closed forms: the density caps on parts (12) and
+    integrated vertices (8) do not apply to homomorphism counts."""
+
+    def _target(self):
+        rng = random.Random(31)
+        pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
+        return Multigraph(14, [rng.choice(pairs) for _ in range(40)])
+
+    def test_star9_is_the_degree_moment(self):
+        g = self._target()
+        assert count_hom(star_graph(9), g, limits=DEFAULT_LIMITS) == \
+            sum(g.degree(v) ** 9 for v in range(g.vertex_count))
+
+    def test_path9_is_a_matrix_power(self):
+        g = self._target()
+        mat = [[g.multiplicity(a, b) for b in range(14)] for a in range(14)]
+        vec = [1] * 14
+        for _ in range(9):
+            vec = [sum(x * y for x, y in zip(row, vec)) for row in mat]
+        assert count_hom(path_graph(9), g, limits=DEFAULT_LIMITS) == sum(vec)
 
 
 class TestAut:
