@@ -67,15 +67,15 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
 
     total = Fraction(0)
     for H, coeff in F.terms():
-        slots = [(u, v, i) for (u, v), mult in H.pairs for i in range(mult)]
+        slots = [(u, v) for (u, v), mult in H.pairs for _ in range(mult)]
         if m > len(slots):
             continue
         # chosen[j] is the slot that carries direction j
         for chosen in itertools.permutations(range(len(slots)), m):
-            slot_kernels = {slot: base for slot in slots}
+            factors = [(u, v, base, 1) for u, v in slots]
             for pos, direction in zip(chosen, dirs):
-                slot_kernels[slots[pos]] = direction
-            total += coeff * _evaluate(H, slot_kernels, {}, limits=limits)
+                factors[pos] = (*slots[pos], direction, 1)
+            total += coeff * _evaluate(H, base.parts, factors, {}, limits=limits)
     return total
 
 

@@ -183,6 +183,9 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
     classes = enumerate_Hn(n, limits=limits)
     ordered = surjection_total_order(classes)
     position = {canonical_key(g): i for i, g in enumerate(ordered)}
+    surjects = {(canonical_key(g), canonical_key(h)):
+                count_surj(h, g, limits=limits) > 0
+                for g in classes for h in classes}
 
     for k in range(1, k_max + 1):
         matrix = pi_formula(n, k, limits=limits)
@@ -191,8 +194,7 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
         for g in classes:
             for h in classes:
                 value = matrix.value(g, h)
-                surjects = count_surj(h, g, limits=limits) > 0
-                if value > 0 and not surjects:
+                if value > 0 and not surjects[canonical_key(g), canonical_key(h)]:
                     ok = False
                     details.append("support violates the surjection condition")
                 if value > 0 and position[canonical_key(g)] > position[canonical_key(h)]:
@@ -210,30 +212,30 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
         checks.append(StructureCheck(
             f"invertibility k={k}", det != 0, f"det = {det}"))
 
-    t_rows = []
+    # every derivative vector (c) and (d) read, once per (class, scale)
     p0 = 2 * n
+    steps = [(p, k) for p in range(2, p_max + 1) for k in range(2, k_max + 1)
+             if k * p <= limits.max_parts]
+    scales = sorted({p0, *(s for p, k in steps for s in (p, k * p))})
+    vectors = {(i, s): extract_T(QuantumGraph.from_graph(H), n, s, limits=limits)
+               for i, H in enumerate(classes) for s in scales}
+
     coarse = enumerate_Hnp(n, p0, limits=limits)
-    for H in classes:
-        vec = extract_T(QuantumGraph.from_graph(H), n, p0, limits=limits)
-        t_rows.append([vec.entries[canonical_key(h)] for h in coarse])
+    t_rows = [[vectors[i, p0].entries[canonical_key(h)] for h in coarse]
+              for i in range(len(classes))]
     det = linalg.determinant(t_rows)
     checks.append(StructureCheck(
         f"density-derivative basis at p={p0}", det != 0, f"det = {det}"))
 
     relation_ok = True
     relation_detail = "scale-change relation holds exactly"
-    for p in range(2, p_max + 1):
-        for k in range(2, k_max + 1):
-            if k * p > limits.max_parts:
-                continue
-            for H in classes:
-                F = QuantumGraph.from_graph(H)
-                fine = extract_T(F, n, k * p, limits=limits)
-                direct = extract_T(F, n, p, limits=limits)
-                if apply_constraint(fine, k, limits=limits) != direct:
-                    relation_ok = False
-                    relation_detail = (f"relation fails for "
-                                       f"{graph_signature(H)} at p={p}, k={k}")
+    for p, k in steps:
+        for i, H in enumerate(classes):
+            if apply_constraint(vectors[i, k * p], k,
+                                limits=limits) != vectors[i, p]:
+                relation_ok = False
+                relation_detail = (f"relation fails for "
+                                   f"{graph_signature(H)} at p={p}, k={k}")
     checks.append(StructureCheck("scale-change relation", relation_ok,
                                  relation_detail))
     return StructureReport(n, tuple(checks))

@@ -8,7 +8,8 @@ density carries an individual kernel on every edge copy, which is the shape
 produced by differentiating densities, so the evaluator here is the single
 computational core for the whole calculus.
 
-Evaluation runs over integer matrices (one common denominator per kernel).
+Every density enters the core through `_evaluate`, with its kernels on one
+part count and integerized (one common denominator per kernel).
 The core places one free vertex per search level, multiplies the matrix
 rows its already-placed neighbours select into one vector over parts, and
 descends only into nonzero entries, so sparse kernels such as basis edges
@@ -20,10 +21,10 @@ cliques pay for the full search.  Every level computed (a cache miss) is a
 search node, counted against `max_maps`.
 
 The same core counts homomorphisms: hom(h, g) is the sum over vertex maps
-with g's integer adjacency matrix as the matrix of every pair of h (see
-`morphisms.count_hom`), and the surjection search takes its vertex order
-from `_plan`.  The `max_parts` and `max_vertices` caps belong to the density
-entry points, not to the core.
+with g's integer adjacency matrix, handed straight to the core, as the
+matrix of every pair of h (see `morphisms.count_hom`), and the surjection
+search takes its vertex order from `_make_plan`.  The `max_parts` and
+`max_vertices` caps belong to `_evaluate`, not to the core.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def _check_caps(p: int, n_free: int, limits: Limits) -> None:
                           f"(raise it with --max-vertices)")
 
 
-@lru_cache(maxsize=1024)
-def _plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
-          pinned: frozenset[int]) -> tuple[tuple[int, ...], tuple[tuple, ...],
-                                           tuple[int, ...], tuple]:
+def _make_plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
+               pinned: frozenset[int]) -> tuple[tuple[int, ...],
+                                                tuple[tuple, ...],
+                                                tuple[int, ...], tuple]:
     """The search plan of `_integrate` for factors on `pairs`: the free
     vertices in order; for each level, the (neighbour, factor index) of the
     factors whose other endpoint is pinned or placed earlier; the factors
@@ -156,6 +157,9 @@ def _plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
     both_pinned = tuple(idx for idx, (u, v) in enumerate(pairs)
                         if u in pinned and v in pinned)
     return tuple(order), tuple(levels), both_pinned, tuple(separators)
+
+
+_plan = lru_cache(maxsize=1024)(_make_plan)
 
 
 def _integrate(vertex_count: int, p: int,
@@ -227,27 +231,24 @@ def _integrate(vertex_count: int, p: int,
     return prefactor * rec(0)
 
 
-def _evaluate(graph: Multigraph, slot_kernels: Mapping[Slot, StepKernel],
-              pins: Pins, *, limits: Limits) -> Fraction:
-    """Shared exact evaluator: every edge copy carries its own kernel."""
-    kernels = list(slot_kernels.values())
-    if kernels:
-        refined = common_refinement(*kernels)
-        p = refined[0].parts
-        slot_kernels = dict(zip(slot_kernels.keys(), refined))
-    else:
-        p = 1
-    fixed = _resolve_pins(graph, pins, p) if graph.labels else {}
+def _evaluate(graph: Multigraph, p: int,
+              factors: list[tuple[int, int, StepKernel, int]], pins: Pins, *,
+              limits: Limits) -> Fraction:
+    """The one density entry into `_integrate`: the average over maps of the
+    graph's vertices to p parts, with the labelled vertices pinned, of the
+    product of kernel[tau u][tau v]^e over the factors (u, v, kernel, e).
+    Every kernel has p parts."""
+    fixed = _resolve_pins(graph, pins, p)
     n_free = graph.vertex_count - len(fixed)
     _check_caps(p, n_free, limits)
-
-    factors = []
+    int_factors = []
     denominator = 1
-    for (u, v, _copy), kernel in slot_kernels.items():
+    for u, v, kernel, e in factors:
         denom, ints = kernel.integerized()
-        factors.append((u, v, ints, 1))
-        denominator *= denom
-    numerator = _integrate(graph.vertex_count, p, factors, fixed, limits=limits)
+        int_factors.append((u, v, ints, e))
+        denominator *= denom ** e
+    numerator = _integrate(graph.vertex_count, p, int_factors, fixed,
+                           limits=limits)
     return Fraction(numerator, denominator * p ** n_free)
 
 
@@ -266,23 +267,20 @@ def labelled_density(h: Multigraph, f: StepKernel, pins: Pins, *,
                      limits: Limits = DEFAULT_LIMITS) -> Fraction:
     """Density with the labelled vertices pinned to points; only unlabelled
     vertices are integrated."""
-    fixed = _resolve_pins(h, pins, f.parts)
-    n_free = h.vertex_count - len(fixed)
-    _check_caps(f.parts, n_free, limits)
-    denom, ints = f.integerized()
-    factors = [(u, v, ints, m) for (u, v), m in h.pairs]
-    numerator = _integrate(h.vertex_count, f.parts, factors, fixed,
-                           limits=limits)
-    return Fraction(numerator, denom ** h.edge_count * f.parts ** n_free)
+    return _evaluate(h, f.parts, [(u, v, f, m) for (u, v), m in h.pairs],
+                     pins, limits=limits)
 
 
 def eval_decorated(d: DecoratedDensity, f: StepKernel, *,
                    limits: Limits = DEFAULT_LIMITS) -> Fraction:
     """Evaluate a decorated density: ARG edges read f, concrete edges read
     their own kernel."""
-    slot_kernels = {slot: (f if kernel is ARG else kernel)
-                    for slot, kernel in d.edge_kernels}
-    return _evaluate(d.graph, slot_kernels, dict(d.pins), limits=limits)
+    kernels = common_refinement(*(f if kernel is ARG else kernel
+                                  for _, kernel in d.edge_kernels))
+    factors = [(u, v, kernel, 1)
+               for ((u, v, _), _), kernel in zip(d.edge_kernels, kernels)]
+    return _evaluate(d.graph, kernels[0].parts if kernels else 1, factors,
+                     dict(d.pins), limits=limits)
 
 
 def multiplicativity_check(h1: Multigraph, h2: Multigraph, f: StepKernel, *,

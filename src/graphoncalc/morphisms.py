@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, perm
 
-from .density import _cap_exceeded, _integrate, _plan
+from .density import _cap_exceeded, _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import Multigraph
 
@@ -48,9 +48,9 @@ def _search_plan(h: Multigraph) -> tuple[tuple[int, ...], tuple[tuple, ...],
     The order is the density core's plan for the distinct pairs of h with
     the labelled vertices pinned (placed first).
     """
-    order, levels, _, _ = _plan(h.vertex_count,
-                                tuple(pair for pair, _ in h.pairs),
-                                frozenset(h.labelled_vertices()))
+    order, levels, _, _ = _make_plan(h.vertex_count,
+                                     tuple(pair for pair, _ in h.pairs),
+                                     frozenset(h.labelled_vertices()))
     back = tuple(tuple((w, h.pairs[idx][1]) for w, idx in ready)
                  for ready in levels)
     mass = [sum(m for _, m in edges) for edges in back]

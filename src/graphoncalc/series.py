@@ -154,10 +154,7 @@ def eval_quantum(F: QuantumGraph, f: StepKernel, pins: Pins | None = None, *,
         raise ValueError("a labelled quantum graph needs pins to evaluate")
     total = Fraction(0)
     for g, c in F.terms():
-        if F.k:
-            total += c * labelled_density(g, f, pins, limits=limits)
-        else:
-            total += c * density(g, f, limits=limits)
+        total += c * labelled_density(g, f, pins or {}, limits=limits)
     return total
 
 

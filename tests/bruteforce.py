@@ -7,7 +7,9 @@ replaced them (the plain backtracking homomorphism and surjection
 searches, the dense Gaussian elimination and the plain backtracking density
 core).  None of it shares code with the production implementations, except
 that the fixed-vertex-count enumeration dedups and orders by
-`canonical_key`.
+`canonical_key`, and that `recomputing_verify_structure`, the structure
+check as it was before it computed each fact once, calls the library's own
+pieces.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm, perm
 
-from graphoncalc import Multigraph, StepKernel, canonical_key
+from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
+                         canonical_key, consistency, enumerate_Hn,
+                         enumerate_Hnp, graph_signature, linalg)
+from graphoncalc.consistency import (StructureCheck, StructureReport,
+                                     surjection_total_order)
 
 
 def _encoding(g: Multigraph, perm) -> tuple:
@@ -516,6 +522,78 @@ def backtrack_density(vertex_count: int, p: int,
         denominator *= denom ** e
     numerator = backtrack_integrate(vertex_count, p, int_factors, fixed)
     return Fraction(numerator, denominator * p ** (vertex_count - len(fixed)))
+
+
+def recomputing_verify_structure(n: int, p_max: int | None = None,
+                                 k_max: int = 3, *,
+                                 limits=DEFAULT_LIMITS) -> StructureReport:
+    """`consistency.verify_structure` as it was before it computed each fact
+    once: every surjection test once per k, every derivative vector once per
+    (p, k) step that reads it.  The scale matrices, surjection counts and
+    derivative vectors are read through the `consistency` module, so a test
+    that patches one of them there reaches both versions."""
+    if p_max is None:
+        p_max = 2 * n
+    checks: list[StructureCheck] = []
+    classes = enumerate_Hn(n, limits=limits)
+    ordered = surjection_total_order(classes)
+    position = {canonical_key(g): i for i, g in enumerate(ordered)}
+
+    for k in range(1, k_max + 1):
+        matrix = consistency.pi_formula(n, k, limits=limits)
+        ok = True
+        details = []
+        for g in classes:
+            for h in classes:
+                value = matrix.value(g, h)
+                surjects = consistency.count_surj(h, g, limits=limits) > 0
+                if value > 0 and not surjects:
+                    ok = False
+                    details.append("support violates the surjection condition")
+                if value > 0 and position[canonical_key(g)] > position[canonical_key(h)]:
+                    ok = False
+                    details.append("entry above the diagonal order")
+            if matrix.value(g, g) <= 0:
+                ok = False
+                details.append("non-positive diagonal")
+        checks.append(StructureCheck(
+            f"triangularity k={k}", ok,
+            details[0] if details else "triangular with positive diagonal"))
+
+        det = linalg.determinant(
+            [[Fraction(x) for x in row] for row in matrix.rows(tuple(ordered))])
+        checks.append(StructureCheck(
+            f"invertibility k={k}", det != 0, f"det = {det}"))
+
+    t_rows = []
+    p0 = 2 * n
+    coarse = enumerate_Hnp(n, p0, limits=limits)
+    for H in classes:
+        vec = consistency.extract_T(QuantumGraph.from_graph(H), n, p0,
+                                    limits=limits)
+        t_rows.append([vec.entries[canonical_key(h)] for h in coarse])
+    det = linalg.determinant(t_rows)
+    checks.append(StructureCheck(
+        f"density-derivative basis at p={p0}", det != 0, f"det = {det}"))
+
+    relation_ok = True
+    relation_detail = "scale-change relation holds exactly"
+    for p in range(2, p_max + 1):
+        for k in range(2, k_max + 1):
+            if k * p > limits.max_parts:
+                continue
+            for H in classes:
+                F = QuantumGraph.from_graph(H)
+                fine = consistency.extract_T(F, n, k * p, limits=limits)
+                direct = consistency.extract_T(F, n, p, limits=limits)
+                if consistency.apply_constraint(fine, k,
+                                                limits=limits) != direct:
+                    relation_ok = False
+                    relation_detail = (f"relation fails for "
+                                       f"{graph_signature(H)} at p={p}, k={k}")
+    checks.append(StructureCheck("scale-change relation", relation_ok,
+                                 relation_detail))
+    return StructureReport(n, tuple(checks))
 
 
 def cut_norm_subset_oracle(f: StepKernel) -> Fraction:

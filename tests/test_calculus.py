@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, canonical_key, complete_graph,
@@ -12,7 +14,8 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated)
 
-from .bruteforce import random_kernel
+from .bruteforce import (backtrack_density, random_kernel, random_multigraph,
+                         random_signed_kernel)
 
 
 def _mean(f: StepKernel) -> Fraction:
@@ -21,6 +24,33 @@ def _mean(f: StepKernel) -> Fraction:
 
 def _interior_kernel(rng, parts):
     return random_kernel(rng, parts, denominator=16, lo=2, hi=14)
+
+
+def _on_parts(f: StepKernel, parts: int) -> StepKernel:
+    """f on `parts` equal parts (a multiple of f.parts): the a-th of them
+    lies inside part a * f.parts // parts of f."""
+    return StepKernel([[f.matrix[a * f.parts // parts][b * f.parts // parts]
+                        for b in range(parts)] for a in range(parts)])
+
+
+def _derivative_oracle(F, base, dirs) -> Fraction:
+    """Sum over terms and over injective maps of the directions to the
+    term's edge copies of the density with the mapped copies reading their
+    direction and the rest the base, by `backtrack_density`."""
+    parts = math.lcm(base.parts, *(d.parts for d in dirs))
+    base = _on_parts(base, parts)
+    dirs = [_on_parts(d, parts) for d in dirs]
+    total = Fraction(0)
+    for H, coeff in F.terms():
+        copies = H.edge_slots()
+        for chosen in itertools.permutations(range(len(copies)), len(dirs)):
+            kernels = [base] * len(copies)
+            for pos, d in zip(chosen, dirs):
+                kernels[pos] = d
+            total += coeff * backtrack_density(
+                H.vertex_count, parts,
+                [(u, v, f, 1) for (u, v), f in zip(copies, kernels)], {})
+    return total
 
 
 class TestGateauxExact:
@@ -99,6 +129,19 @@ class TestGateauxExact:
         assert gateaux_exact(F, request) == _mean(down)  # extension is fine
         with pytest.raises(ValueError):
             gateaux_exact(F, request, strict=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 4),
+           st.lists(st.integers(1, 4), max_size=3), st.integers(1, 3))
+    def test_matches_exact_oracle(self, rng, base_parts, dir_parts, n_terms):
+        F = QuantumGraph([(random_multigraph(rng, 4, 4, ensure_edge=False),
+                           Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                          for _ in range(n_terms)])
+        base = random_signed_kernel(rng, base_parts, denominator=3)
+        dirs = tuple(random_signed_kernel(rng, parts, denominator=3)
+                     for parts in dir_parts)
+        assert gateaux_exact(F, DerivativeRequest(base, dirs)) == \
+            _derivative_oracle(F, base, dirs)
 
     def test_labelled_combination_rejected(self):
         F = QuantumGraph.from_graph(Multigraph(2, [(0, 1)], {1: 0}))

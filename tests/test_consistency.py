@@ -4,13 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from graphoncalc import (ConsistencyVector, QuantumGraph,
+from graphoncalc import (ConsistencyMatrix, ConsistencyVector, QuantumGraph,
                          apply_constraint, canonical_key, count_surj,
-                         enumerate_Hn, enumerate_Hnp, extract_T, matching,
-                         pi_fiber_oracle, pi_formula, strip_isolated,
-                         surjection_total_order, verify_structure)
-from graphoncalc.limits import CapExceeded, Limits
-from graphoncalc import linalg
+                         enumerate_Hn, enumerate_Hnp, extract_T,
+                         graph_signature, matching, pi_fiber_oracle,
+                         pi_formula, strip_isolated, surjection_total_order,
+                         verify_structure)
+from graphoncalc.limits import DEFAULT_LIMITS, CapExceeded, Limits
+from graphoncalc import consistency, linalg
+
+from .bruteforce import recomputing_verify_structure
 
 
 class TestPiFormula:
@@ -145,6 +148,57 @@ class TestStructureReport:
             vec = extract_T(QuantumGraph.from_graph(H), 3, 6)
             rows.append([vec.entries[canonical_key(h)] for h in coarse])
         assert linalg.determinant(rows) != 0
+
+
+class TestStructureAgainstRecomputing:
+    @pytest.mark.parametrize("n,p_max,k_max", [
+        (1, 3, 3), (2, 4, 2), (2, None, 3), (3, None, 3), (3, 4, 2)])
+    def test_same_report(self, n, p_max, k_max):
+        report = verify_structure(n, p_max, k_max)
+        assert report.passed
+        assert report.summary() == \
+            recomputing_verify_structure(n, p_max, k_max).summary()
+
+    @staticmethod
+    def _failures(n, p_max, k_max):
+        report = verify_structure(n, p_max, k_max)
+        assert report.summary() == \
+            recomputing_verify_structure(n, p_max, k_max).summary()
+        return [(c.name, c.detail) for c in report.checks if not c.passed]
+
+    def test_perturbed_derivative_entry_fails_alike(self, monkeypatch):
+        extract = consistency.extract_T
+        H = enumerate_Hn(2)[1]
+
+        def perturbed(F, n, p, *, limits=DEFAULT_LIMITS):
+            vec = extract(F, n, p, limits=limits)
+            if p != 3 or canonical_key(F.terms()[0][0]) != canonical_key(H):
+                return vec
+            entries = dict(vec.entries)
+            entries[canonical_key(vec.classes[0])] += 1
+            return ConsistencyVector(vec.n, vec.p, vec.classes, entries)
+
+        monkeypatch.setattr(consistency, "extract_T", perturbed)
+        assert self._failures(2, 4, 2) == [
+            ("scale-change relation",
+             f"relation fails for {graph_signature(H)} at p=3, k=2")]
+
+    def test_entry_above_the_diagonal_fails_alike(self, monkeypatch):
+        formula = consistency.pi_formula
+
+        def perturbed(n, k, *, limits=DEFAULT_LIMITS):
+            matrix = formula(n, k, limits=limits)
+            if k != 2:
+                return matrix
+            ordered = surjection_total_order(matrix.classes)
+            entries = dict(matrix.entries)
+            entries[canonical_key(ordered[-1]), canonical_key(ordered[0])] = 1
+            return ConsistencyMatrix(n, k, matrix.classes, entries)
+
+        monkeypatch.setattr(consistency, "pi_formula", perturbed)
+        failures = self._failures(2, 4, 3)
+        assert failures[0] == ("triangularity k=2",
+                               "support violates the surjection condition")
 
 
 class TestLinearConsistencyDimension:

@@ -9,7 +9,9 @@ from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
                          canonical_key, complete_graph, count_aut, count_hom,
                          count_surj, enumerate_Hn, matching, parallel_edges,
                          path_graph, single_edge, star_graph, t_combinatorial)
-from graphoncalc.morphisms import surjection_weight_sum
+from graphoncalc.density import _plan
+from graphoncalc.morphisms import _search_plan, surjection_weight_sum
+from graphoncalc.series import whitney_matrix
 
 from .bruteforce import (backtrack_hom, backtrack_surj,
                          backtrack_surjection_weight_sum, brute_hom,
@@ -173,6 +175,14 @@ class TestWorkCap:
             count_aut(matching(4), limits=tiny)
         with pytest.raises(CapExceeded, match="visited 11 nodes"):
             count_hom(matching(4), single_edge(), limits=tiny)
+
+
+def test_surjection_search_keeps_its_plans_out_of_the_density_cache():
+    _search_plan.cache_clear()
+    _plan.cache_clear()
+    whitney_matrix(3, 1, {1: Fraction(1, 3)})
+    assert _search_plan.cache_info().currsize > 0
+    assert _plan.cache_info().currsize == 0
 
 
 class TestHomAtDefaultCaps:
