@@ -7,6 +7,16 @@ That closed form is what `gateaux_exact` computes, term by term, for any
 finite combination of densities; the limit definition survives only in the
 finite-difference cross-check `gateaux_numeric`.
 
+A term of the sum depends only on its labelling: how many directions of
+each class (equal kernels, detected by their integer form, form one class)
+sit on each pair of H.  An automorphism of H moves a labelling to another
+with the same density, so `gateaux_exact` evaluates one labelling per orbit,
+with equal kernels on a pair merged into one factor with an exponent, and
+weights it by the number of slot assignments in the orbit.  The orbits of
+any subgroup of Aut(H) partition the labellings as well, so the sum is exact
+whichever group is used; where Aut(H) has more elements than there are
+slot assignments, the search for it stops and the trivial group is used.
+
 Evaluating the derivative at the zero kernel on tuples of basis edges and
 indexing the values by the isomorphism class of the tuple's multigraph
 yields the class data that the consistency machinery consumes (`extract_T`).
@@ -15,13 +25,17 @@ yields the class data that the consistency machinery consumes (`extract_T`).
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .density import _evaluate, density
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import Multigraph, canonical_key, enumerate_Hnp, single_edge, star_graph
+from .multigraph import (Multigraph, automorphisms, canonical_key,
+                         enumerate_Hnp, single_edge, star_graph, strip_isolated)
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
                          _to_fraction)
@@ -40,6 +54,86 @@ class DerivativeRequest:
     @property
     def order(self) -> int:
         return len(self.directions)
+
+
+def _labellings(mults: Sequence[int],
+                counts: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """Every way to put counts[c] directions of class c on pairs of
+    multiplicities `mults`, at most mults[i] on pair i: per pair, how many
+    directions of each class its copies carry."""
+    rows = [[0] * len(counts) for _ in mults]
+    room = list(mults)
+    out = []
+
+    def place(c: int, i: int, left: int) -> None:
+        if i == len(mults):
+            if left:
+                return
+            if c + 1 < len(counts):
+                place(c + 1, 0, counts[c + 1])
+            else:
+                out.append(tuple(map(tuple, rows)))
+            return
+        for x in range(min(left, room[i]) + 1):
+            rows[i][c] = x
+            room[i] -= x
+            place(c, i + 1, left - x)
+            room[i] += x
+        rows[i][c] = 0
+
+    place(0, 0, counts[0])
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """One labelling (see `_labellings`) per orbit under the pair
+    permutations of Aut(H), as the factors (u, v, kernel class, exponent) it
+    evaluates (class 0 is the base), with the number of slot assignments in
+    its orbit.
+
+    A labelling with L[i][c] directions of class c on pair i comes from
+    prod_c counts[c]! / prod_i L[i][c]! choices of which directions go where,
+    times mults[i]! / (mults[i] - |L[i]|)! placements on each pair's copies.
+    Aut(H) is searched only while it has at most as many elements as there
+    are assignments; past that the trivial group is used.  Swapping the
+    ends of a component that is one pair moves no pair, so the search keeps
+    those ends apart by colour and finds one automorphism per permutation
+    of the pairs.
+    """
+    mults = [m for _, m in H.pairs]
+    core = strip_isolated(H)  # the same pairs in the same order
+    ends = Counter(x for pair, _ in core.pairs for x in pair)
+    colours = [0] * core.vertex_count
+    for (u, v), _ in core.pairs:
+        if ends[u] == ends[v] == 1:
+            colours[v] = 1
+    group = automorphisms(core, math.perm(sum(mults), sum(counts)),
+                          tuple(colours))
+    index = {pair: i for i, (pair, _) in enumerate(core.pairs)}
+    perms = {tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])]
+                   for (u, v), _ in core.pairs)
+             for perm in group or [range(core.vertex_count)]}
+    choices = math.prod(map(math.factorial, counts))
+    out = []
+    seen: set[tuple] = set()
+    for labels in _labellings(mults, counts):
+        if labels in seen:
+            continue
+        orbit = {tuple(labels[j] for j in perm) for perm in perms}
+        seen |= orbit
+        weight = choices * len(orbit)
+        factors = []
+        for ((u, v), mult), row in zip(H.pairs, labels):
+            if not any(row):
+                factors.append((u, v, 0, mult))
+                continue
+            weight = weight * math.perm(mult, sum(row)) \
+                // math.prod(map(math.factorial, row))
+            factors += [(u, v, c, e) for c, e in
+                        enumerate((row[0] + mult - sum(row), *row[1:])) if e]
+        out.append((tuple(factors), weight))
+    return tuple(out)
 
 
 def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
@@ -65,17 +159,20 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
             if not is_admissible(base, d):
                 raise ValueError("direction is not admissible at the base kernel")
 
+    # equal kernels share a class; class 0 is the base's
+    ids: dict[tuple, int] = {}
+    of = [ids.setdefault(kernel.integerized(), len(ids)) for kernel in refined]
+    kernels = [refined[of.index(c)] for c in range(len(ids))]
+    counts = tuple(of[1:].count(c) for c in range(len(ids)))
+
     total = Fraction(0)
     for H, coeff in F.terms():
-        slots = [(u, v) for (u, v), mult in H.pairs for _ in range(mult)]
-        if m > len(slots):
+        if m > H.edge_count:
             continue
-        # chosen[j] is the slot that carries direction j
-        for chosen in itertools.permutations(range(len(slots)), m):
-            factors = [(u, v, base, 1) for u, v in slots]
-            for pos, direction in zip(chosen, dirs):
-                factors[pos] = (*slots[pos], direction, 1)
-            total += coeff * _evaluate(H, base.parts, factors, {}, limits=limits)
+        for factors, weight in _orbits(H, counts):
+            total += coeff * weight * _evaluate(
+                H, base.parts, [(u, v, kernels[c], e) for u, v, c, e in factors],
+                {}, limits=limits)
     return total
 
 
@@ -149,8 +246,8 @@ def extract_T(F: QuantumGraph, n: int, p: int, *,
     n-edge p-vertex multigraphs.
 
     Well-definedness (independence of the representative tuple) is the orbit
-    property of the tuple-to-graph map; it is asserted here and exercised by
-    the test suite.
+    property of the tuple-to-graph map; nothing here checks it, the test
+    suite does (other tuples of the same class give the same value).
     """
     if p < 2:
         raise ValueError("p must be at least 2")

@@ -22,7 +22,7 @@ from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .morphisms import count_aut, count_surj, surjection_weight_sum
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, simplify,
-                         strip_isolated)
+                         strip_isolated, stripped_keys)
 from .series import QuantumGraph
 
 
@@ -120,19 +120,18 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
     if p < 2:
         raise ValueError("target scale must have at least 2 parts")
     matrix = pi_formula(A.n, k, limits=limits)
-    coarse = enumerate_Hnp(A.n, p, limits=limits)
-    fine = [(canonical_key(strip_isolated(h)), A.entries[canonical_key(h)])
-            for h in A.classes]
+    fine_stripped = stripped_keys(A.n, A.p, limits=limits)
+    fine = [(fine_stripped[key], value) for key, value in A.entries.items()]
     entries: dict[bytes, Fraction] = {}
-    for g in coarse:
-        gkey_stripped = canonical_key(strip_isolated(g))
+    for gkey, gkey_stripped in stripped_keys(A.n, p, limits=limits).items():
         acc = Fraction(0)
         for hkey_stripped, value in fine:
             weight = matrix.value_by_key(gkey_stripped, hkey_stripped)
             if weight:
                 acc += weight * value
-        entries[canonical_key(g)] = acc
-    return ConsistencyVector(A.n, p, coarse, entries)
+        entries[gkey] = acc
+    return ConsistencyVector(A.n, p, enumerate_Hnp(A.n, p, limits=limits),
+                             entries)
 
 
 def surjection_total_order(classes) -> list[Multigraph]:

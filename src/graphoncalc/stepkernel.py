@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
@@ -129,8 +130,12 @@ class StepKernel:
 # -- constructors -----------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def basis_edge(p: int, a: int, b: int) -> StepKernel:
-    """The indicator kernel on the symmetric cell pair (a, b), 1 <= a < b <= p."""
+    """The indicator kernel on the symmetric cell pair (a, b), 1 <= a < b <= p.
+
+    One shared kernel per (p, a, b), so its integer form is computed once.
+    """
     if not (1 <= a < b <= p):
         raise ValueError("need 1 <= a < b <= p (no diagonal basis elements)")
     rows = [[Fraction(0)] * p for _ in range(p)]

@@ -4,12 +4,14 @@ Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
 replaced them (the plain backtracking homomorphism and surjection
-searches, the dense Gaussian elimination and the plain backtracking density
-core).  None of it shares code with the production implementations, except
-that the fixed-vertex-count enumeration dedups and orders by
-`canonical_key`, and that `recomputing_verify_structure`, the structure
-check as it was before it computed each fact once, calls the library's own
-pieces.
+searches, the dense Gaussian elimination, the plain backtracking density
+core and the derivative summed over every slot assignment).  None of it
+shares code with the production implementations, except that the
+fixed-vertex-count enumeration dedups and orders by `canonical_key`, that
+`recomputing_verify_structure`, the structure check as it was before it
+computed each fact once, calls the library's own pieces, and that
+`permutation_gateaux` evaluates each assignment with the library's
+`density._evaluate`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
                          enumerate_Hnp, graph_signature, linalg)
 from graphoncalc.consistency import (StructureCheck, StructureReport,
                                      surjection_total_order)
+from graphoncalc.density import _evaluate
+from graphoncalc.series import eval_quantum
+from graphoncalc.stepkernel import common_refinement
 
 
 def _encoding(g: Multigraph, perm) -> tuple:
@@ -522,6 +527,28 @@ def backtrack_density(vertex_count: int, p: int,
         denominator *= denom ** e
     numerator = backtrack_integrate(vertex_count, p, int_factors, fixed)
     return Fraction(numerator, denominator * p ** (vertex_count - len(fixed)))
+
+
+def permutation_gateaux(F: QuantumGraph, request, *,
+                        limits=DEFAULT_LIMITS) -> Fraction:
+    """`calculus.gateaux_exact` as it was before it summed over orbits: one
+    `density._evaluate` per injective map of the directions to the edge
+    copies of each term, every other copy reading the base."""
+    m = request.order
+    if m == 0:
+        return eval_quantum(F, request.base, limits=limits)
+    refined = common_refinement(request.base, *request.directions)
+    base, dirs = refined[0], refined[1:]
+    total = Fraction(0)
+    for H, coeff in F.terms():
+        slots = H.edge_slots()
+        for chosen in itertools.permutations(range(len(slots)), m):
+            factors = [(u, v, base, 1) for u, v in slots]
+            for pos, direction in zip(chosen, dirs):
+                factors[pos] = (*slots[pos], direction, 1)
+            total += coeff * _evaluate(H, base.parts, factors, {},
+                                       limits=limits)
+    return total
 
 
 def recomputing_verify_structure(n: int, p_max: int | None = None,

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
-                         StepKernel, basis_edge, canonical_key, complete_graph,
-                         count_surj, density, enumerate_Hn, enumerate_Hnp,
-                         extract_T, gamma, gateaux_exact, gateaux_numeric,
+                         StepKernel, basis_edge, calculus, canonical_key,
+                         complete_graph, count_surj, cycle_graph, density,
+                         enumerate_Hn, enumerate_Hnp, extract_T, gamma,
+                         gateaux_exact, gateaux_numeric, matching, multigraph,
                          parallel_edges, path_graph, permute_parts,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated)
 
-from .bruteforce import (backtrack_density, random_kernel, random_multigraph,
-                         random_signed_kernel)
+from .bruteforce import (backtrack_density, permutation_gateaux, random_kernel,
+                         random_multigraph, random_signed_kernel)
 
 
 def _mean(f: StepKernel) -> Fraction:
@@ -132,16 +133,38 @@ class TestGateauxExact:
 
     @settings(max_examples=100, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 4),
-           st.lists(st.integers(1, 4), max_size=3), st.integers(1, 3))
-    def test_matches_exact_oracle(self, rng, base_parts, dir_parts, n_terms):
+           st.lists(st.tuples(st.integers(1, 4),
+                              st.sampled_from(("new", "same", "equal", "base"))),
+                    max_size=4),
+           st.integers(1, 3))
+    def test_matches_exact_oracle(self, rng, base_parts, dir_specs, n_terms):
+        """Orders 0-4, against the sum over every slot assignment and the
+        backtracking density; a direction may repeat an earlier one as the
+        same object or as an equal but distinct kernel (on the same or on
+        twice the parts), or be the base itself."""
         F = QuantumGraph([(random_multigraph(rng, 4, 4, ensure_edge=False),
                            Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                           for _ in range(n_terms)])
         base = random_signed_kernel(rng, base_parts, denominator=3)
-        dirs = tuple(random_signed_kernel(rng, parts, denominator=3)
-                     for parts in dir_parts)
-        assert gateaux_exact(F, DerivativeRequest(base, dirs)) == \
-            _derivative_oracle(F, base, dirs)
+        dirs = []
+        for parts, kind in dir_specs:
+            if kind == "base":
+                dirs.append(base)
+            elif kind == "same" and dirs:
+                dirs.append(rng.choice(dirs))
+            elif kind == "equal" and dirs:
+                earlier = rng.choice(dirs)
+                # twice the parts only up to 4, so every kernel's part count
+                # divides 12 (the max_parts cap)
+                dirs.append(_on_parts(earlier, 2 * earlier.parts)
+                            if earlier.parts <= 2 and rng.random() < 0.5
+                            else StepKernel(earlier.matrix))
+            else:
+                dirs.append(random_signed_kernel(rng, parts, denominator=3))
+        request = DerivativeRequest(base, tuple(dirs))
+        value = gateaux_exact(F, request)
+        assert value == permutation_gateaux(F, request)
+        assert value == _derivative_oracle(F, base, dirs)
 
     def test_labelled_combination_rejected(self):
         F = QuantumGraph.from_graph(Multigraph(2, [(0, 1)], {1: 0}))
@@ -277,6 +300,87 @@ class TestExtractT:
         vc = extract_T(combo, 2, 4)
         for h in vc.classes:
             assert vc.value(h) == v1.value(h) + 5 * v2.value(h)
+
+    def test_matches_permutation_oracle_on_every_class(self):
+        for n in (1, 2, 3):
+            p = 2 * n
+            for H in enumerate_Hn(n):
+                F = QuantumGraph.from_graph(H)
+                vec = extract_T(F, n, p)
+                for h in vec.classes:
+                    dirs = tuple(basis_edge(p, u + 1, v + 1)
+                                 for u, v in h.edge_slots())
+                    assert vec.value(h) == permutation_gateaux(
+                        F, DerivativeRequest(StepKernel.zero(p), dirs))
+
+
+class TestOrbitSum:
+    def test_large_groups_are_not_enumerated(self, monkeypatch):
+        """Order 1 has |E| assignments, far fewer than the |V|! automorphisms
+        of K7 or star7: the symmetry search gives up (the trivial group is
+        used) with no refinement work, and the sum stays exact."""
+        base = random_signed_kernel(random.Random(14), 2, denominator=5)
+        direction = random_signed_kernel(random.Random(15), 2, denominator=5)
+        functionals = [QuantumGraph.from_graph(g)
+                       for g in (complete_graph(7), star_graph(7))]
+        refines = []
+        real_refine = multigraph._refine
+        monkeypatch.setattr(multigraph, "_refine", lambda *args: (
+            refines.append(1), real_refine(*args))[1])
+        searches = []
+        uncached = calculus.automorphisms.__wrapped__
+
+        def counting(g, limit=None, colours=None):
+            before = len(refines)
+            result = uncached(g, limit, colours)
+            searches.append((limit, result, len(refines) - before))
+            return result
+
+        monkeypatch.setattr(calculus, "automorphisms", counting)
+        calculus._orbits.cache_clear()
+        for F in functionals:
+            request = DerivativeRequest(base, (direction,))
+            assert gateaux_exact(F, request) == permutation_gateaux(F, request)
+        assert searches == [(21, None, 0), (7, None, 0)]
+
+    def test_search_gives_up_past_its_limit(self, monkeypatch):
+        refines = []
+        real_refine = multigraph._refine
+        monkeypatch.setattr(multigraph, "_refine", lambda *args: (
+            refines.append(1), real_refine(*args))[1])
+        search = multigraph.automorphisms.__wrapped__
+        # its twin classes prove only 2^4 = 16 of matching(4)'s 384
+        # automorphisms, so the search runs and stops after the 25th: at
+        # most (24 + 1)(8 + 1) nodes, each refining twice
+        assert search(matching(4), 24) is None
+        assert 0 < len(refines) <= 2 * 25 * 9
+        assert len(search(star_graph(4), 24)) == 24
+        assert search(star_graph(4), 23) is None
+        # one end of each edge coloured apart: only the 24 edge permutations
+        assert len(search(matching(4), 24, (0, 1) * 4)) == 24
+
+    def test_evaluations_per_orbit(self, monkeypatch):
+        """C4 on four distinct directions: 24 assignments, 3 orbits under its
+        8 automorphisms; two equal directions leave 12 assignments in 2.
+        A matching of three edges: 6 assignments in one orbit, though its
+        48 automorphisms outnumber them (edge flips move no pair)."""
+        calls = []
+        real = calculus._evaluate
+        monkeypatch.setattr(calculus, "_evaluate", lambda *args, **kwargs: (
+            calls.append(1), real(*args, **kwargs))[1])
+        C4 = QuantumGraph.from_graph(cycle_graph(4))
+        rng = random.Random(16)
+        base = random_signed_kernel(rng, 2, denominator=3)
+        d = [random_signed_kernel(rng, 2, denominator=3) for _ in range(4)]
+        for F, dirs, evaluations in (
+                (C4, (d[0], d[1], d[2], d[3]), 3),
+                (C4, (d[0], d[0], d[2], d[3]), 2),
+                (QuantumGraph.from_graph(matching(3)), (d[0], d[1], d[2]), 1)):
+            calls.clear()
+            request = DerivativeRequest(base, dirs)
+            value = gateaux_exact(F, request)
+            assert len(calls) == evaluations
+            assert value == permutation_gateaux(F, request)
 
 
 class TestSidorenkoStars:

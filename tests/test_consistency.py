@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from graphoncalc import (ConsistencyMatrix, ConsistencyVector, QuantumGraph,
-                         apply_constraint, canonical_key, count_surj,
-                         enumerate_Hn, enumerate_Hnp, extract_T,
+from graphoncalc import (ConsistencyMatrix, ConsistencyVector, Multigraph,
+                         QuantumGraph, apply_constraint, canonical_key,
+                         count_surj, enumerate_Hn, enumerate_Hnp, extract_T,
                          graph_signature, matching, pi_fiber_oracle,
                          pi_formula, strip_isolated, surjection_total_order,
                          verify_structure)
 from graphoncalc.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from graphoncalc import consistency, linalg
+from graphoncalc import consistency, linalg, multigraph
 
 from .bruteforce import recomputing_verify_structure
 
@@ -99,6 +99,23 @@ class TestApplyConstraint:
             F = QuantumGraph.from_graph(H)
             fine = extract_T(F, n, k * p)
             assert apply_constraint(fine, k) == extract_T(F, n, p)
+
+    def test_canonicalizes_nothing_per_call(self, monkeypatch):
+        """The stripped key of every class at both scales is computed once,
+        with the classes, so a call makes no `canonical_key` call."""
+        F = QuantumGraph.from_graph(matching(2)) + QuantumGraph.from_graph(
+            Multigraph(3, [(0, 1), (1, 2)]))
+        fine = extract_T(F, 2, 6)
+        expected = extract_T(F, 2, 3)
+        assert apply_constraint(fine, 2) == expected
+        calls = []
+        for module in (consistency, multigraph):
+            real = module.canonical_key
+            monkeypatch.setattr(module, "canonical_key", lambda g, real=real: (
+                calls.append(g), real(g))[1])
+        for _ in range(3):
+            assert apply_constraint(fine, 2) == expected
+        assert calls == []
 
     def test_zero_vector(self):
         classes = enumerate_Hnp(2, 6)

@@ -1,15 +1,17 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphoncalc import (Multigraph, canonical_key, complete_graph,
-                         disjoint_union, enumerate_Hn, enumerate_Hnp,
+                         count_aut, disjoint_union, enumerate_Hn, enumerate_Hnp,
                          glue_product, graph_from_json, graph_to_json,
                          matching, parallel_edges, path_graph, simplify,
                          single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
+from graphoncalc.multigraph import automorphisms
 
 from .bruteforce import (brute_canonical_key, brute_enumerate_Hn,
                          brute_enumerate_Hnp)
@@ -177,6 +179,25 @@ class TestEnumerateWithVertexCount:
             assert g.vertex_count == 5
         keys = [canonical_key(strip_isolated(g)) for g in enumerate_Hnp(3, 5)]
         assert len(set(keys)) == len(keys)
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_group_order_matches_count_aut(self, n, k):
+        """Node-and-edge automorphisms are vertex automorphisms times a
+        permutation of each pair's parallel copies."""
+        for h in enumerate_Hn(n, k):
+            group = automorphisms(h)
+            assert group[0] == tuple(range(h.vertex_count))
+            assert len(set(group)) == len(group)
+            assert all(h.permuted(perm) == h for perm in group)
+            copies = math.prod(math.factorial(m) for _, m in h.pairs)
+            assert len(group) * copies == count_aut(h)
+
+    def test_isolated_vertices_are_permuted(self):
+        assert len(automorphisms(Multigraph(5, [(0, 1)]))) == 2 * 6
+        assert len(automorphisms(Multigraph(5, [(0, 1)], {1: 2}))) == 2 * 2
 
 
 class TestStripSimplifyGlue:
