@@ -12,10 +12,12 @@ each class (equal kernels, detected by their integer form, form one class)
 sit on each pair of H.  An automorphism of H moves a labelling to another
 with the same density, so `gateaux_exact` evaluates one labelling per orbit,
 with equal kernels on a pair merged into one factor with an exponent, and
-weights it by the number of slot assignments in the orbit.  The orbits of
-any subgroup of Aut(H) partition the labellings as well, so the sum is exact
-whichever group is used; where Aut(H) has more elements than there are
-slot assignments, the search for it stops and the trivial group is used.
+weights it by the number of slot assignments in the orbit.  The orbits are
+the isomorphism classes of H with each pair's multiplicity replaced by a
+code for what the pair carries, decided by `canonical_key`; since the codes
+determine the multiplicities, these classes are exactly the orbits, however
+large Aut(H) is.  At the zero kernel only terms with as many edges as
+directions are evaluated: a copy left on the base zeroes its term.
 
 Evaluating the derivative at the zero kernel on tuples of basis edges and
 indexing the values by the isomorphism class of the tuple's multigraph
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +35,8 @@ from typing import Sequence
 
 from .density import _evaluate, density
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import (Multigraph, automorphisms, canonical_key,
-                         enumerate_Hnp, single_edge, star_graph, strip_isolated)
+from .multigraph import (Multigraph, canonical_key, enumerate_Hnp, single_edge,
+                         star_graph)
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
                          _to_fraction)
@@ -87,42 +88,32 @@ def _labellings(mults: Sequence[int],
 
 @lru_cache(maxsize=4096)
 def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """One labelling (see `_labellings`) per orbit under the pair
-    permutations of Aut(H), as the factors (u, v, kernel class, exponent) it
-    evaluates (class 0 is the base), with the number of slot assignments in
-    its orbit.
+    """One labelling (see `_labellings`) per orbit under Aut(H), as the
+    factors (u, v, kernel class, exponent) it evaluates (class 0 is the
+    base), with the number of slot assignments in its orbit.
+
+    The orbits are the `canonical_key` classes of H with each pair's
+    multiplicity replaced by a code for (multiplicity, labelling row),
+    injective within the table.  Codes determine multiplicities, so an
+    isomorphism of two coded graphs is an automorphism of H carrying one
+    labelling to the other, and every such automorphism is one: the classes
+    are exactly the orbits.
 
     A labelling with L[i][c] directions of class c on pair i comes from
     prod_c counts[c]! / prod_i L[i][c]! choices of which directions go where,
     times mults[i]! / (mults[i] - |L[i]|)! placements on each pair's copies.
-    Aut(H) is searched only while it has at most as many elements as there
-    are assignments; past that the trivial group is used.  Swapping the
-    ends of a component that is one pair moves no pair, so the search keeps
-    those ends apart by colour and finds one automorphism per permutation
-    of the pairs.
     """
-    mults = [m for _, m in H.pairs]
-    core = strip_isolated(H)  # the same pairs in the same order
-    ends = Counter(x for pair, _ in core.pairs for x in pair)
-    colours = [0] * core.vertex_count
-    for (u, v), _ in core.pairs:
-        if ends[u] == ends[v] == 1:
-            colours[v] = 1
-    group = automorphisms(core, math.perm(sum(mults), sum(counts)),
-                          tuple(colours))
-    index = {pair: i for i, (pair, _) in enumerate(core.pairs)}
-    perms = {tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])]
-                   for (u, v), _ in core.pairs)
-             for perm in group or [range(core.vertex_count)]}
+    codes: dict[tuple, int] = {}
+    orbits: dict[bytes, list] = {}
+    for labels in _labellings([m for _, m in H.pairs], counts):
+        coded = Multigraph(H.vertex_count, [
+            (u, v, codes.setdefault((mult, row), len(codes) + 1))
+            for ((u, v), mult), row in zip(H.pairs, labels)])
+        orbits.setdefault(canonical_key(coded), [labels, 0])[1] += 1
     choices = math.prod(map(math.factorial, counts))
     out = []
-    seen: set[tuple] = set()
-    for labels in _labellings(mults, counts):
-        if labels in seen:
-            continue
-        orbit = {tuple(labels[j] for j in perm) for perm in perms}
-        seen |= orbit
-        weight = choices * len(orbit)
+    for labels, size in orbits.values():
+        weight = choices * size
         factors = []
         for ((u, v), mult), row in zip(H.pairs, labels):
             if not any(row):
@@ -165,9 +156,11 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     kernels = [refined[of.index(c)] for c in range(len(ids))]
     counts = tuple(of[1:].count(c) for c in range(len(ids)))
 
+    # on the zero kernel, a copy left on the base zeroes its term
+    zero_base = not any(map(any, base.integerized()[1]))
     total = Fraction(0)
     for H, coeff in F.terms():
-        if m > H.edge_count:
+        if m > H.edge_count or (zero_base and m < H.edge_count):
             continue
         for factors, weight in _orbits(H, counts):
             total += coeff * weight * _evaluate(

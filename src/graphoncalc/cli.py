@@ -12,16 +12,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import (DerivativeRequest, Limits,
-               basis_edge, canonical_key, count_aut, count_hom, count_surj,
+from . import (DerivativeRequest, Limits, count_aut, count_hom, count_surj,
                cut_norm, density, enumerate_Hn, enumerate_Hnp, eval_quantum,
                extract_T, gateaux_exact, gateaux_numeric, graph_from_json,
                graph_signature, graph_to_json, kernel_from_json,
                kernel_to_json, labelled_density, lagrange_interpolate,
                pi_fiber_oracle, pi_formula, pins_from_json, quantum_from_json,
-               quantum_to_json, sidorenko_star_check, strip_isolated,
-               surjection_total_order, tensor_product, verify_structure,
-               whitney_matrix)
+               quantum_to_json, sidorenko_star_check, surjection_total_order,
+               tensor_product, verify_structure, whitney_matrix)
 from .limits import DEFAULT_LIMITS, CapExceeded
 from .series import PowerSeries, eval_series
 from .stepkernel import StepKernel

@@ -7,15 +7,13 @@ unordered vertex pairs.  A partial labelling is an injective map from
 The central service is :func:`canonical_key`: a totally ordered byte string
 that is equal for two graphs exactly when they are isomorphic by a
 label-preserving node-and-edge isomorphism.  Everything downstream
-(enumeration, quantum-graph bookkeeping, class indexing) dedups on it.
-The same colour refinement prunes :func:`automorphisms`, which lists the
-automorphism group for the derivative sum's orbits.
+(enumeration, quantum-graph bookkeeping, class indexing, the orbits of the
+derivative sum) dedups on it; it is the library's one symmetry tool.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -179,18 +177,13 @@ def _refine(verts: tuple[int, ...], adj, colours: dict[int, int]) -> dict[int, i
         colours = new
 
 
-def _twins(u: int, v: int, verts, adj) -> bool:
-    """Equal multiplicities to every other vertex: swapping u and v is an
-    automorphism of the unlabelled graph."""
-    return all(adj[u].get(w, 0) == adj[v].get(w, 0)
-               for w in verts if w not in (u, v))
-
-
 def _twin_representatives(cell: list[int], verts, adj) -> list[int]:
-    # branching on one representative per twin class is enough
+    # u, v are twins when swapping them is an automorphism; branching on one
+    # representative per twin class is enough.
     reps: list[int] = []
     for u in cell:
-        if not any(_twins(u, r, verts, adj) for r in reps):
+        if not any(all(adj[u].get(w, 0) == adj[r].get(w, 0)
+                       for w in verts if w not in (u, r)) for r in reps):
             reps.append(u)
     return reps
 
@@ -271,80 +264,6 @@ def canonical_key(g: Multigraph) -> bytes:
     key = repr((g.vertex_count, encodings)).encode()
     object.__setattr__(g, "_key", key)
     return key
-
-
-# -- symmetry ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=1024)
-def automorphisms(g: Multigraph, limit: int | None = None,
-                  colours: tuple[int, ...] | None = None
-                  ) -> tuple[tuple[int, ...], ...] | None:
-    """The label-preserving automorphisms of g as vertex maps (perm[v] is
-    the image of v), identity first; None when g has more than `limit`.
-    With `colours` (one per vertex), only those that keep every vertex's
-    colour.
-
-    Vertices in one twin class (equal multiplicities to every other vertex,
-    unlabelled, one colour) can be permuted freely, so g has at least the
-    product of the class sizes' factorials; past `limit` no search runs.
-    Otherwise the search individualizes one fixed vertex per level on one
-    side and every vertex of the same colour on the other, refining both
-    with `_refine` and cutting a branch whose colour classes differ in
-    size.  A branch without dead ends reaches a leaf within |V| + 1 nodes,
-    so the search also gives up (None) past (limit + 1)(|V| + 1) nodes.
-    """
-    verts = tuple(range(g.vertex_count))
-    adj = _adjacency(g)
-    label_of = {v: lab for lab, v in g.labels}
-    init = _normalize_colours({
-        v: (0, label_of[v]) if v in label_of else (1, colours[v] if colours else 0)
-        for v in verts})
-    if limit is None:
-        limit = math.inf
-    classes: list[list[int]] = []
-    for v in verts:
-        cls = next((cls for cls in classes if init[cls[0]] == init[v]
-                    and _twins(cls[0], v, verts, adj)), None)
-        if cls is None:
-            classes.append([v])
-        else:
-            cls.append(v)
-    if math.prod(math.factorial(len(cls)) for cls in classes) > limit:
-        return None
-    max_nodes = (limit + 1) * (len(verts) + 1)
-    found: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def individualize(cells, u):
-        return _normalize_colours({v: (cells[v], v != u) for v in verts})
-
-    def search(left, right) -> bool:
-        """Extend the found automorphisms below one node (left refined,
-        right not yet); False to give up."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            return False
-        right = _refine(verts, adj, right)
-        if sorted(left.values()) != sorted(right.values()):
-            return True
-        cells: dict[int, list[int]] = {}
-        for v in verts:
-            cells.setdefault(left[v], []).append(v)
-        target = min((c for c, cell in cells.items() if len(cell) > 1),
-                     default=None)
-        if target is None:
-            at = {c: v for v, c in right.items()}
-            perm = tuple(at[left[v]] for v in verts)
-            if all(adj[perm[u]].get(perm[v], 0) == m for (u, v), m in g.pairs):
-                found.append(perm)
-            return len(found) <= limit
-        child = _refine(verts, adj, individualize(left, cells[target][0]))
-        return all(search(child, individualize(right, w))
-                   for w in verts if right[w] == target)
-
-    return tuple(found) if search(_refine(verts, adj, init), init) else None
 
 
 # -- spec'd graph operations ----------------------------------------------

@@ -551,6 +551,33 @@ def permutation_gateaux(F: QuantumGraph, request, *,
     return total
 
 
+def brute_orbit_count(H: Multigraph, counts) -> int:
+    """The number of orbits of the labellings of `calculus._orbits` (per
+    pair of H, how many directions of each class sit on it, at most the
+    pair's multiplicity in all) under the vertex permutations that fix H,
+    found by scanning all |V|! permutations."""
+    pairs = [pair for pair, _ in H.pairs]
+    mults = [m for _, m in H.pairs]
+    spreads = [[s for s in itertools.product(range(c + 1), repeat=len(pairs))
+                if sum(s) == c] for c in counts]
+    labellings = [L for L in (tuple(zip(*spread))
+                              for spread in itertools.product(*spreads))
+                  if all(sum(row) <= m for row, m in zip(L, mults))]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    moves = [[index[min(sigma[u], sigma[v]), max(sigma[u], sigma[v])]
+              for u, v in pairs]
+             for sigma in itertools.permutations(range(H.vertex_count))
+             if H.permuted(sigma) == H]
+
+    def image(L, move):
+        out = [None] * len(L)
+        for i, j in enumerate(move):
+            out[j] = L[i]
+        return tuple(out)
+
+    return len({min(image(L, move) for move in moves) for L in labellings})
+
+
 def recomputing_verify_structure(n: int, p_max: int | None = None,
                                  k_max: int = 3, *,
                                  limits=DEFAULT_LIMITS) -> StructureReport:

@@ -10,13 +10,14 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, calculus, canonical_key,
                          complete_graph, count_surj, cycle_graph, density,
                          enumerate_Hn, enumerate_Hnp, extract_T, gamma,
-                         gateaux_exact, gateaux_numeric, matching, multigraph,
+                         gateaux_exact, gateaux_numeric, matching,
                          parallel_edges, path_graph, permute_parts,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated)
 
-from .bruteforce import (backtrack_density, permutation_gateaux, random_kernel,
-                         random_multigraph, random_signed_kernel)
+from .bruteforce import (backtrack_density, brute_orbit_count,
+                         permutation_gateaux, random_kernel, random_multigraph,
+                         random_signed_kernel)
 
 
 def _mean(f: StepKernel) -> Fraction:
@@ -314,50 +315,63 @@ class TestExtractT:
                         F, DerivativeRequest(StepKernel.zero(p), dirs))
 
 
+def _counting_evaluate(monkeypatch) -> list:
+    """Record one entry per `density._evaluate` call made by `calculus`."""
+    calls = []
+    real = calculus._evaluate
+    monkeypatch.setattr(calculus, "_evaluate", lambda *args, **kwargs: (
+        calls.append(1), real(*args, **kwargs))[1])
+    return calls
+
+
 class TestOrbitSum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orbits_match_brute_count(self, n):
+        """The canonical-key classes are the Aut(H)-orbits, for the direction
+        class counts that `extract_T` produces and one of order below n; the
+        weights count every slot assignment once."""
+        patterns = {(0, *(m for _, m in h.pairs)) for h in enumerate_Hn(n)}
+        if n >= 2:
+            patterns.add((n - 2, 1))
+        for H in enumerate_Hn(n):
+            if H.vertex_count > 6:
+                continue
+            for counts in patterns:
+                orbits = calculus._orbits(H, counts)
+                assert len(orbits) == brute_orbit_count(H, counts)
+                assert sum(w for _, w in orbits) \
+                    == math.perm(H.edge_count, sum(counts))
+
     def test_large_groups_are_not_enumerated(self, monkeypatch):
-        """Order 1 has |E| assignments, far fewer than the |V|! automorphisms
-        of K7 or star7: the symmetry search gives up (the trivial group is
-        used) with no refinement work, and the sum stays exact."""
+        """Order 1 on K7, K8 or star7: no group is listed, and every pair is
+        in one orbit, so each derivative is one evaluation."""
+        calls = _counting_evaluate(monkeypatch)
         base = random_signed_kernel(random.Random(14), 2, denominator=5)
         direction = random_signed_kernel(random.Random(15), 2, denominator=5)
-        functionals = [QuantumGraph.from_graph(g)
-                       for g in (complete_graph(7), star_graph(7))]
-        refines = []
-        real_refine = multigraph._refine
-        monkeypatch.setattr(multigraph, "_refine", lambda *args: (
-            refines.append(1), real_refine(*args))[1])
-        searches = []
-        uncached = calculus.automorphisms.__wrapped__
-
-        def counting(g, limit=None, colours=None):
-            before = len(refines)
-            result = uncached(g, limit, colours)
-            searches.append((limit, result, len(refines) - before))
-            return result
-
-        monkeypatch.setattr(calculus, "automorphisms", counting)
-        calculus._orbits.cache_clear()
-        for F in functionals:
+        for g in (complete_graph(7), complete_graph(8), star_graph(7)):
+            F = QuantumGraph.from_graph(g)
             request = DerivativeRequest(base, (direction,))
-            assert gateaux_exact(F, request) == permutation_gateaux(F, request)
-        assert searches == [(21, None, 0), (7, None, 0)]
+            calls.clear()
+            value = gateaux_exact(F, request)
+            assert len(calls) == 1
+            assert value == permutation_gateaux(F, request)
 
-    def test_search_gives_up_past_its_limit(self, monkeypatch):
-        refines = []
-        real_refine = multigraph._refine
-        monkeypatch.setattr(multigraph, "_refine", lambda *args: (
-            refines.append(1), real_refine(*args))[1])
-        search = multigraph.automorphisms.__wrapped__
-        # its twin classes prove only 2^4 = 16 of matching(4)'s 384
-        # automorphisms, so the search runs and stops after the 25th: at
-        # most (24 + 1)(8 + 1) nodes, each refining twice
-        assert search(matching(4), 24) is None
-        assert 0 < len(refines) <= 2 * 25 * 9
-        assert len(search(star_graph(4), 24)) == 24
-        assert search(star_graph(4), 23) is None
-        # one end of each edge coloured apart: only the 24 edge permutations
-        assert len(search(matching(4), 24, (0, 1) * 4)) == 24
+    def test_zero_base_evaluates_only_full_terms(self, monkeypatch):
+        """At the zero kernel only terms with as many edges as directions
+        survive: P2 and a double edge, one orbit each."""
+        calls = _counting_evaluate(monkeypatch)
+        rng = random.Random(17)
+        d = [random_signed_kernel(rng, 3, denominator=4) for _ in range(2)]
+        F = (QuantumGraph.from_graph(single_edge(), 5)
+             + QuantumGraph.from_graph(path_graph(2), -2)
+             + QuantumGraph.from_graph(parallel_edges(2), 3)
+             + QuantumGraph.from_graph(complete_graph(3))
+             + QuantumGraph.from_graph(star_graph(3), -1))
+        request = DerivativeRequest(StepKernel.zero(3), d)
+        value = gateaux_exact(F, request)
+        assert len(calls) == 2
+        assert value == permutation_gateaux(F, request)
+        assert value != 0
 
     def test_evaluations_per_orbit(self, monkeypatch):
         """C4 on four distinct directions: 24 assignments, 3 orbits under its

@@ -11,7 +11,6 @@ from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          matching, parallel_edges, path_graph, simplify,
                          single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
-from graphoncalc.multigraph import automorphisms
 
 from .bruteforce import (brute_canonical_key, brute_enumerate_Hn,
                          brute_enumerate_Hnp)
@@ -181,6 +180,24 @@ class TestEnumerateWithVertexCount:
         assert len(set(keys)) == len(keys)
 
 
+def _group_order(h: Multigraph) -> int:
+    """The order of h's label-preserving vertex automorphism group by
+    orbit-stabilizer on labelled canonical keys: the orbit of the first
+    unlabelled vertex is the vertices that give the same key when labelled,
+    and its stabilizer is the group of h with that vertex labelled."""
+    free = [v for v in range(h.vertex_count) if v not in h.labelled_vertices()]
+    if not free:
+        return 1
+
+    def pinned(v: int) -> Multigraph:
+        return Multigraph(h.vertex_count, [(a, b, m) for (a, b), m in h.pairs],
+                          {**h.label_map, h.k + 1: v})
+
+    key = canonical_key(pinned(free[0]))
+    orbit = sum(canonical_key(pinned(v)) == key for v in free)
+    return orbit * _group_order(pinned(free[0]))
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -188,16 +205,12 @@ class TestAutomorphisms:
         """Node-and-edge automorphisms are vertex automorphisms times a
         permutation of each pair's parallel copies."""
         for h in enumerate_Hn(n, k):
-            group = automorphisms(h)
-            assert group[0] == tuple(range(h.vertex_count))
-            assert len(set(group)) == len(group)
-            assert all(h.permuted(perm) == h for perm in group)
             copies = math.prod(math.factorial(m) for _, m in h.pairs)
-            assert len(group) * copies == count_aut(h)
+            assert _group_order(h) * copies == count_aut(h)
 
     def test_isolated_vertices_are_permuted(self):
-        assert len(automorphisms(Multigraph(5, [(0, 1)]))) == 2 * 6
-        assert len(automorphisms(Multigraph(5, [(0, 1)], {1: 2}))) == 2 * 2
+        assert _group_order(Multigraph(5, [(0, 1)])) == 2 * 6
+        assert _group_order(Multigraph(5, [(0, 1)], {1: 2})) == 2 * 2
 
 
 class TestStripSimplifyGlue:

@@ -19,3 +19,25 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in modules
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_every_imported_name_is_used():
+    """Modules other than the package's `__init__` import only what they
+    use (the package re-exports through `__init__`)."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported
+                   if name not in used]
+    assert unused == []
