@@ -11,6 +11,16 @@ hom(h, g) is computed by the density core (`density._integrate`) on g's
 adjacency matrix; surjection counts run a pruned search of their own over
 vertex maps, in the density core's vertex order.  Both count search nodes
 against `max_maps`.  All counts are exact Python integers.
+
+The surjection search cuts a branch by vertex coverage, by uncovered g-edge
+mass, and by a fiber-degree budget: at the end the h-degrees in each
+g-vertex's fiber sum to at least its g-degree, with total overshoot exactly
+2(|E(h)| - |E(g)|), so a branch that already overshoots by more is cut (for
+equal edge counts: no fiber's degree sum exceeds its g-vertex's degree).
+What the search needs of a graph is computed once per graph, not once per
+(h, g) pair: `_search_plan(h)` holds the source's order, back edges, degrees,
+edge count and labels, and `_target(g)` the target's adjacency rows,
+degrees, edge count and label map, both in bounded caches.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, perm
+from typing import NamedTuple
 
 from .density import _cap_exceeded, _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
@@ -31,22 +42,42 @@ def _count_surjections(c: int, m: int) -> int:
     return sum((-1) ** i * comb(m, i) * (m - i) ** c for i in range(m + 1))
 
 
-def _pinned_vertices(h: Multigraph, g: Multigraph) -> dict[int, int]:
+def _check_label_counts(h: Multigraph, g: Multigraph) -> None:
     if h.k != g.k:
         raise ValueError("label counts must agree (pad the smaller graph first)")
+
+
+def _pinned_vertices(h: Multigraph, g: Multigraph) -> dict[int, int]:
+    _check_label_counts(h, g)
     g_label = g.label_map
     return {v: g_label[lab] for lab, v in h.labels}
 
 
+class _Source(NamedTuple):
+    """What the surjection search needs of its source graph h: the free
+    vertices in search order; per step, the h-edges (neighbour,
+    multiplicity) to the vertices placed before it, the h-edge mass placed
+    at that step or later (one more entry, 0, at the end) and the h-degree
+    of the vertex placed; the labelled vertices as (label, vertex,
+    h-degree); the pairs between labelled vertices as (label, label,
+    multiplicity); and |E(h)|."""
+
+    order: tuple[int, ...]
+    back: tuple[tuple[tuple[int, int], ...], ...]
+    rest: tuple[int, ...]
+    degree: tuple[int, ...]
+    labelled: tuple[tuple[int, int, int], ...]
+    label_pairs: tuple[tuple[int, int, int], ...]
+    edge_count: int
+
+
 @lru_cache(maxsize=1024)
-def _search_plan(h: Multigraph) -> tuple[tuple[int, ...], tuple[tuple, ...],
-                                         tuple[int, ...]]:
-    """The free vertices in search order; for each, its h-edges (neighbour,
-    multiplicity) to the vertices placed before it; and for each step i, the
-    h-edge mass placed at steps i, i+1, ... (one more entry, 0, at the end).
+def _search_plan(h: Multigraph) -> _Source:
+    """The search record of h, built once per graph.
 
     The order is the density core's plan for the distinct pairs of h with
-    the labelled vertices pinned (placed first).
+    the labelled vertices pinned (placed first).  Labelled vertices are kept
+    by label, so that each target resolves them through its own label map.
     """
     order, levels, _, _ = _make_plan(h.vertex_count,
                                      tuple(pair for pair, _ in h.pairs),
@@ -54,7 +85,18 @@ def _search_plan(h: Multigraph) -> tuple[tuple[int, ...], tuple[tuple, ...],
     back = tuple(tuple((w, h.pairs[idx][1]) for w, idx in ready)
                  for ready in levels)
     mass = [sum(m for _, m in edges) for edges in back]
-    return order, back, tuple(accumulate(reversed(mass), initial=0))[::-1]
+    degree = [0] * h.vertex_count
+    for (u, v), m in h.pairs:
+        degree[u] += m
+        degree[v] += m
+    label_of = {v: lab for lab, v in h.labels}
+    return _Source(
+        order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
+        tuple(degree[v] for v in order),
+        tuple((lab, v, degree[v]) for lab, v in h.labels),
+        tuple((label_of[u], label_of[v], m) for (u, v), m in h.pairs
+              if u in label_of and v in label_of),
+        h.edge_count)
 
 
 def _matrix(g: Multigraph) -> list[list[int]]:
@@ -63,6 +105,24 @@ def _matrix(g: Multigraph) -> list[list[int]]:
     for (u, v), m in g.pairs:
         mat[u][v] = mat[v][u] = m
     return mat
+
+
+class _Target(NamedTuple):
+    """What the surjection search needs of its target graph g: the integer
+    adjacency rows (shared, never written), the g-degrees, |E(g)| and the
+    label map."""
+
+    rows: list[list[int]]
+    degree: tuple[int, ...]
+    edge_count: int
+    label_map: dict[int, int]
+
+
+@lru_cache(maxsize=1024)
+def _target(g: Multigraph) -> _Target:
+    """The search record of g, built once per graph."""
+    rows = _matrix(g)
+    return _Target(rows, tuple(map(sum, rows)), g.edge_count, g.label_map)
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -87,43 +147,69 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     All the pruning lives here, so every caller gets it.  Before the search:
     h needs at least as many vertices, distinct pairs and edges as g.
     During it, a branch is cut when the g-vertices not yet covered outnumber
-    the h-vertices left, or when the g-edge mass not yet covered exceeds the
-    h-edge mass left to place.  With k given, a fiber larger than k has
-    weight 0, so no branch grows one.
+    the h-vertices left, when the g-edge mass not yet covered exceeds the
+    h-edge mass left to place, or when the fibers overshoot their degree
+    budget.  With k given, a fiber larger than k has weight 0, so no branch
+    grows one.
+
+    The degree budget: every h-edge lands on a g-edge, so at a leaf the
+    h-degrees in the fiber of a g-vertex c sum to at least deg_g(c) (each
+    g-copy at c is covered), and the overshoots over all c sum to exactly
+    2(|E(h)| - |E(g)|).  A fiber's degree sum only grows, so a branch whose
+    overshoot so far, pinned vertices included, passes that budget is cut.
+    `room[c]` is how far c's fiber is below deg_g(c), clipped at 0, and
+    `spare` what is left of the budget.  For |E(h)| = |E(g)| no fiber's
+    degree sum may exceed its g-vertex's degree.
+
+    h and g are each read through one cached record (`_search_plan`,
+    `_target`), so a pair pays no set-up beyond its per-call tables.
     """
-    pinned = _pinned_vertices(h, g)
+    _check_label_counts(h, g)
     nv = g.vertex_count
+    src = _search_plan(h)
+    tgt = _target(g)
     if (h.vertex_count < nv or len(h.pairs) < len(g.pairs)
-            or h.edge_count < g.edge_count):
+            or src.edge_count < tgt.edge_count):
         return 0
     if nv == 0:
         return 1 if h.vertex_count == 0 else 0
-    mult = _matrix(g)
+    mult = tgt.rows
     load = [[0] * nv for _ in range(nv)]
     coverage = [0] * nv
+    room = list(tgt.degree)
+    spare = 2 * (src.edge_count - tgt.edge_count)
     assign = [0] * h.vertex_count
-    for v, c in pinned.items():
-        assign[v] = c
-        coverage[c] += 1
-    for (u, v), m in h.pairs:
-        if u in pinned and v in pinned:
-            a, b = pinned[u], pinned[v]
+    missing = tgt.edge_count
+    uncovered = nv
+    if src.labelled:
+        g_label = tgt.label_map
+        for lab, v, d in src.labelled:
+            c = g_label[lab]
+            assign[v] = c
+            coverage[c] += 1
+            if d > room[c]:
+                spare -= d - room[c]
+                room[c] = 0
+            else:
+                room[c] -= d
+        for lab_u, lab_v, m in src.label_pairs:
+            a, b = g_label[lab_u], g_label[lab_v]
             if mult[a][b] == 0:
                 return 0
             load[a][b] += m
             load[b][a] += m
-    order, back, rest = _search_plan(h)
+        missing = sum(max(0, m - load[a][b]) for (a, b), m in g.pairs)
+        uncovered -= len(src.labelled)
+    order, back, rest, degree = src.order, src.back, src.rest, src.degree
     depth = len(order)
-    uncovered = sum(1 for size in coverage if size == 0)
-    missing = sum(max(0, m - load[a][b]) for (a, b), m in g.pairs)
-    if uncovered > depth or missing > rest[0]:
+    if uncovered > depth or missing > rest[0] or spare < 0:
         return 0
     fiber_cap = h.vertex_count if k is None else k
     cap = limits.max_maps
     nodes = 0
     total = 0
 
-    def rec(i: int, uncovered: int, missing: int):
+    def rec(i: int, uncovered: int, missing: int, spare: int):
         nonlocal nodes, total
         nodes += 1
         if nodes > cap:
@@ -139,11 +225,16 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
             return
         v = order[i]
         edges = back[i]
+        dv = degree[i]
         free_after = depth - i - 1
         mass_after = rest[i + 1]
         for c in range(nv):
             fresh = coverage[c] == 0
             if uncovered - fresh > free_after or coverage[c] == fiber_cap:
+                continue
+            r = room[c]
+            over = dv - r if dv > r else 0
+            if over > spare:
                 continue
             row = mult[c]
             for w, _ in edges:
@@ -162,14 +253,17 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                 if missing - gained <= mass_after:
                     assign[v] = c
                     coverage[c] += 1
-                    rec(i + 1, uncovered - fresh, missing - gained)
+                    room[c] = r - dv + over
+                    rec(i + 1, uncovered - fresh, missing - gained,
+                        spare - over)
+                    room[c] = r
                     coverage[c] -= 1
                 for w, m in edges:
                     d = assign[w]
                     lrow[d] -= m
                     load[d][c] -= m
 
-    rec(0, uncovered, missing)
+    rec(0, uncovered, missing, spare)
     return total
 
 

@@ -703,22 +703,49 @@ def random_labelled(rng, g: Multigraph, k: int) -> Multigraph:
                       dict(zip(range(1, k + 1), chosen)))
 
 
-def random_image(rng, h: Multigraph, vertices: int) -> Multigraph:
-    """The image of h under a random map onto range(vertices) that is
-    injective on the labelled vertices (which keep their labels): loops are
-    dropped and each image pair keeps between 1 and all of its copies."""
+def _random_map_load(rng, h: Multigraph, vertices: int):
+    """A random map of h onto range(vertices), injective on the labelled
+    vertices: the labels of the image, the edge mass on each image pair,
+    and the mass lost on loops."""
     label_images = rng.sample(range(vertices), h.k)
     image = [rng.randrange(vertices) for _ in range(h.vertex_count)]
     for (lab, v), c in zip(h.labels, label_images):
         image[v] = c
     load: dict[tuple[int, int], int] = {}
+    lost = 0
     for (u, v), m in h.pairs:
         a, b = sorted((image[u], image[v]))
-        if a != b:
+        if a == b:
+            lost += m
+        else:
             load[(a, b)] = load.get((a, b), 0) + m
+    return {lab: c for (lab, _), c in zip(h.labels, label_images)}, load, lost
+
+
+def random_image(rng, h: Multigraph, vertices: int) -> Multigraph:
+    """The image of h under a random map onto range(vertices) that is
+    injective on the labelled vertices (which keep their labels): loops are
+    dropped and each image pair keeps between 1 and all of its copies."""
+    labels, load, _ = _random_map_load(rng, h, vertices)
     edges = [(a, b, rng.randint(1, m)) for (a, b), m in load.items()]
-    return Multigraph(vertices, edges,
-                      {lab: c for (lab, _), c in zip(h.labels, label_images)})
+    return Multigraph(vertices, edges, labels)
+
+
+def random_image_short_of(rng, h: Multigraph, vertices: int,
+                          short: int) -> Multigraph | None:
+    """An image of h as in `random_image` with exactly `short` fewer edges
+    than h: the copies lost on loops count, and the rest are dropped at
+    random from image pairs that keep at least one copy.  None when none of
+    20 random maps allows that."""
+    for _ in range(20):
+        labels, load, lost = _random_map_load(rng, h, vertices)
+        spare = [pair for pair, m in load.items() for _ in range(m - 1)]
+        if 0 <= short - lost <= len(spare):
+            for pair in rng.sample(spare, short - lost):
+                load[pair] -= 1
+            edges = [(a, b, m) for (a, b), m in load.items()]
+            return Multigraph(vertices, edges, labels)
+    return None
 
 
 def random_matrix(rng, kind: str, n: int) -> list[list[Fraction]]:

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
                          canonical_key, complete_graph, count_aut, count_hom,
@@ -17,7 +17,8 @@ from .bruteforce import (backtrack_hom, backtrack_surj,
                          backtrack_surjection_weight_sum, brute_hom,
                          brute_surj, classical_simple_hom,
                          inclusion_exclusion_surj, random_image,
-                         random_labelled, random_multigraph)
+                         random_image_short_of, random_labelled,
+                         random_multigraph)
 
 
 class TestHom:
@@ -139,6 +140,22 @@ class TestRandomPairsAgainstOracles:
         assert surjection_weight_sum(h, g, k) == \
             backtrack_surjection_weight_sum(h, g, k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+           st.sampled_from([None, 1, 2, 3]), st.integers(0, 2))
+    def test_degree_budget_boundary(self, rng, labels, k, short):
+        # g is an image of h with exactly `short` fewer edges, so the fibers'
+        # degree overshoot budget is 0, 2 or 4 and surjections often exist
+        h = random_labelled(rng, random_multigraph(rng, 5, 6), labels)
+        vertices = rng.randint(max(labels, 1), 4)
+        g = random_image_short_of(rng, h, vertices, short)
+        assume(g is not None)
+        if k is None:
+            assert count_surj(h, g) == backtrack_surj(h, g)
+        else:
+            assert surjection_weight_sum(h, g, k) == \
+                backtrack_surjection_weight_sum(h, g, k)
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 2))
     def test_hom_matches_explicit_enumeration(self, rng, labels):
@@ -168,6 +185,12 @@ class TestWorkCap:
     def test_matching_within_default_caps(self):
         # the whole map space is 8^8 > max_maps; the search visits far less
         assert count_aut(matching(4), limits=DEFAULT_LIMITS) == 384
+
+    def test_degree_cut_fits_a_tighter_cap(self):
+        # a 4-star with one leaf extended: the search visits 24 nodes, 85
+        # without the fiber-degree cut (which max_maps=24 would refuse)
+        h = Multigraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
+        assert count_aut(h, limits=Limits(max_maps=24)) == 6
 
     def test_tiny_cap_raises(self):
         tiny = Limits(max_maps=10)
