@@ -9,22 +9,25 @@ produced by differentiating densities, so the evaluator here is the single
 computational core for the whole calculus.
 
 Every density enters the core through `_evaluate`, with its kernels on one
-part count and integerized (one common denominator per kernel).
-The core places one free vertex per search level, multiplies the matrix
-rows its already-placed neighbours select into one vector over parts, and
-descends only into nonzero entries, so sparse kernels such as basis edges
-cost almost nothing.  A level's subtotal depends only on the parts of its
-separator, the placed vertices that a later factor still reads, so it is
-computed once per separator assignment (recursive conditioning): stars and
-paths cost O(|V| p^2), cycles O(|V| p^3), and only dense graphs such as
-cliques pay for the full search.  Every level computed (a cache miss) is a
-search node, counted against `max_maps`.
+part count and integerized (one common denominator per kernel).  The
+core's plan (`_make_plan`) puts the pinned vertices first, so the factors
+between them are read once, as a constant.  After them the core places one
+free vertex per search level, multiplies the matrix rows its already-placed
+neighbours select into one vector over parts, and descends only into
+nonzero entries, so sparse kernels such as basis edges cost almost nothing.
+A level's subtotal depends only on the parts of its separator, the placed
+free vertices that a later factor still reads, so it is computed once per
+separator assignment (recursive conditioning): stars and paths cost
+O(|V| p^2), cycles O(|V| p^3), and only dense graphs such as cliques pay
+for the full search.  Every free level computed (a cache miss) is a search
+node, counted against `max_maps`.
 
 The same core counts homomorphisms: hom(h, g) is the sum over vertex maps
 with g's integer adjacency matrix, handed straight to the core, as the
 matrix of every pair of h (see `morphisms.count_hom`), and the surjection
-search takes its vertex order from `_make_plan`.  The `max_parts` and
-`max_vertices` caps belong to `_evaluate`, not to the core.
+search takes its vertex order, labelled vertices first, from `_make_plan`.
+The `max_parts` and `max_vertices` caps belong to `_evaluate`, not to the
+core.
 """
 
 from __future__ import annotations
@@ -121,17 +124,17 @@ def _check_caps(p: int, n_free: int, limits: Limits) -> None:
 
 
 def _make_plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
-               pinned: frozenset[int]) -> tuple[tuple[int, ...],
-                                                tuple[tuple, ...],
-                                                tuple[int, ...], tuple]:
-    """The search plan of `_integrate` for factors on `pairs`: the free
-    vertices in order; for each level, the (neighbour, factor index) of the
-    factors whose other endpoint is pinned or placed earlier; the factors
-    with both endpoints pinned; and for each level its separator, the placed
-    free vertices that a factor at this level or later still reads, or None
-    where that is every placed free vertex and a cache could never hit.
+               pinned: tuple[int, ...]) -> tuple[tuple[int, ...],
+                                                tuple[tuple, ...], tuple]:
+    """The search plan of `_integrate` for factors on `pairs`: every vertex
+    in order, the `pinned` ones first and in the given order; for each
+    level, the (neighbour, factor index) of the factors whose other endpoint
+    is placed earlier; and for each level its separator, the placed free
+    vertices that a factor at this level or later still reads, or None
+    where that is every placed free vertex (or there are none) and a cache
+    could never hit.
 
-    Each next vertex touches as many placed vertices as possible, so a
+    Each next free vertex touches as many placed vertices as possible, so a
     branch meets its factors, and their zeros, early.
     """
     touching: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
@@ -139,24 +142,24 @@ def _make_plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
         touching[u].append((v, idx))
         touching[v].append((u, idx))
     placed = set(pinned)
-    order: list[int] = []
-    levels: list[tuple[tuple[int, int], ...]] = []
-    pending = [v for v in range(vertex_count) if v not in pinned]
+    order = list(pinned)
+    pending = [v for v in range(vertex_count) if v not in placed]
     while pending:
         v = max(pending, key=lambda w: (
             sum(1 for x, _ in touching[w] if x in placed), -w))
         order.append(v)
-        levels.append(tuple((x, idx) for x, idx in touching[v] if x in placed))
         placed.add(v)
         pending.remove(v)
+    position = {v: i for i, v in enumerate(order)}
+    levels = [tuple((x, idx) for x, idx in touching[v] if position[x] < i)
+              for i, v in enumerate(order)]
     last_read = {x: i for i, ready in enumerate(levels) for x, _ in ready}
     separators = []
     for i in range(len(order)):
-        sep = tuple(w for w in order[:i] if last_read.get(w, -1) >= i)
-        separators.append(sep if len(sep) < i else None)
-    both_pinned = tuple(idx for idx, (u, v) in enumerate(pairs)
-                        if u in pinned and v in pinned)
-    return tuple(order), tuple(levels), both_pinned, tuple(separators)
+        placed_free = order[len(pinned):i]
+        sep = tuple(w for w in placed_free if last_read.get(w, -1) >= i)
+        separators.append(sep if len(sep) < len(placed_free) else None)
+    return tuple(order), tuple(levels), tuple(separators)
 
 
 _plan = lru_cache(maxsize=1024)(_make_plan)
@@ -168,23 +171,26 @@ def _integrate(vertex_count: int, p: int,
     """Integer part of sum over maps tau of prod factor_matrix[tau u][tau v]^e.
 
     `factors` entries are (u, v, symmetric integer matrix, exponent); `fixed`
-    maps a vertex to its forced part (0-based).  Level i of the search places
-    the i-th free vertex of the plan: it multiplies the rows its ready
-    factors select into one vector over parts and recurses only into nonzero
-    entries.  A level's subtotal depends only on the parts of its separator,
-    so it is computed once per separator assignment.  Each level computed
-    counts as one search node against `limits.max_maps`; the count is
-    checked before a level branches, so a search stops at most p + 1 nodes
-    past the cap.
+    maps a vertex to its forced part (0-based).  The plan's first levels are
+    the fixed vertices: their factors, all between fixed vertices, make a
+    constant prefactor.  Each later level of the search places one free
+    vertex: it multiplies the rows its ready factors select into one vector
+    over parts and recurses only into nonzero entries.  A level's subtotal
+    depends only on the parts of its separator, so it is computed once per
+    separator assignment.  Each free level computed counts as one search
+    node against `limits.max_maps`; the count is checked before a level
+    branches, so a search stops at most p + 1 nodes past the cap.
     """
-    order, levels, both_pinned, separators = _plan(
-        vertex_count, tuple((u, v) for u, v, _, _ in factors), frozenset(fixed))
+    order, levels, separators = _plan(
+        vertex_count, tuple((u, v) for u, v, _, _ in factors), tuple(fixed))
+    first_free = len(fixed)
 
     prefactor = 1
-    for idx in both_pinned:
-        u, v, mat, e = factors[idx]
-        prefactor *= mat[fixed[u]][fixed[v]] ** e
-    if prefactor == 0 or not order:
+    for ready in levels[:first_free]:
+        for _, idx in ready:
+            u, v, mat, e = factors[idx]
+            prefactor *= mat[fixed[u]][fixed[v]] ** e
+    if prefactor == 0 or first_free == vertex_count:
         return prefactor
 
     rows = [mat if e == 1 else tuple(tuple(x ** e for x in row) for row in mat)
@@ -228,7 +234,7 @@ def _integrate(vertex_count: int, p: int,
             caches[i][key] = total
         return total
 
-    return prefactor * rec(0)
+    return prefactor * rec(first_free)
 
 
 def _evaluate(graph: Multigraph, p: int,

@@ -21,7 +21,8 @@ class Limits:
     max_parts:        largest part count a kernel may have in a density sum
     max_vertices:     largest number of integrated vertices in a density sum
     max_maps:         most search nodes (partial vertex maps) one search may
-                      visit: a surjection search, or the density core (hom
+                      visit: a surjection search, where each labelled vertex
+                      placed is one node too, or the density core (hom
                       counts included), where a node is a level computed
                       rather than read from its cache
     max_index_tuples: largest k^(2n) enumeration in the fiber oracle

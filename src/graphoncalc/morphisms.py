@@ -12,15 +12,20 @@ adjacency matrix; surjection counts run a pruned search of their own over
 vertex maps, in the density core's vertex order.  Both count search nodes
 against `max_maps`.  All counts are exact Python integers.
 
-The surjection search cuts a branch by vertex coverage, by uncovered g-edge
-mass, and by a fiber-degree budget: at the end the h-degrees in each
-g-vertex's fiber sum to at least its g-degree, with total overshoot exactly
-2(|E(h)| - |E(g)|), so a branch that already overshoots by more is cut (for
-equal edge counts: no fiber's degree sum exceeds its g-vertex's degree).
-What the search needs of a graph is computed once per graph, not once per
-(h, g) pair: `_search_plan(h)` holds the source's order, back edges, degrees,
-edge count and labels, and `_target(g)` the target's adjacency rows,
-degrees, edge count and label map, both in bounded caches.
+Labelled vertices are the first steps of that order, by label: the
+surjection search places each as an ordinary step whose one candidate is
+the g-vertex with the same label, so every check below applies to them as
+to any other vertex, and each counts as one search node.  The search cuts
+a branch by vertex coverage, by uncovered g-edge mass, and by a
+fiber-degree budget: at the end the h-degrees in each g-vertex's fiber sum
+to at least its g-degree, with total overshoot exactly 2(|E(h)| - |E(g)|),
+so a branch that already overshoots by more is cut (for equal edge counts:
+no fiber's degree sum exceeds its g-vertex's degree).  What the search
+needs of a graph is computed once per graph, not once per (h, g) pair:
+`_search_plan(h)` holds the source's order, back edges, degrees and edge
+count, and `_target(g)` the target's adjacency rows, degrees and edge
+count, both in bounded caches; `count_hom` reads its adjacency rows from
+`_target(g)` too.
 """
 
 from __future__ import annotations
@@ -47,27 +52,17 @@ def _check_label_counts(h: Multigraph, g: Multigraph) -> None:
         raise ValueError("label counts must agree (pad the smaller graph first)")
 
 
-def _pinned_vertices(h: Multigraph, g: Multigraph) -> dict[int, int]:
-    _check_label_counts(h, g)
-    g_label = g.label_map
-    return {v: g_label[lab] for lab, v in h.labels}
-
-
 class _Source(NamedTuple):
-    """What the surjection search needs of its source graph h: the free
-    vertices in search order; per step, the h-edges (neighbour,
-    multiplicity) to the vertices placed before it, the h-edge mass placed
-    at that step or later (one more entry, 0, at the end) and the h-degree
-    of the vertex placed; the labelled vertices as (label, vertex,
-    h-degree); the pairs between labelled vertices as (label, label,
-    multiplicity); and |E(h)|."""
+    """What the surjection search needs of its source graph h: the vertices
+    in search order, labelled ones first by label; per step, the h-edges
+    (neighbour, multiplicity) to the vertices placed before it, the h-edge
+    mass placed at that step or later (one more entry, 0, at the end) and
+    the h-degree of the vertex placed; and |E(h)|."""
 
     order: tuple[int, ...]
     back: tuple[tuple[tuple[int, int], ...], ...]
     rest: tuple[int, ...]
     degree: tuple[int, ...]
-    labelled: tuple[tuple[int, int, int], ...]
-    label_pairs: tuple[tuple[int, int, int], ...]
     edge_count: int
 
 
@@ -76,12 +71,11 @@ def _search_plan(h: Multigraph) -> _Source:
     """The search record of h, built once per graph.
 
     The order is the density core's plan for the distinct pairs of h with
-    the labelled vertices pinned (placed first).  Labelled vertices are kept
-    by label, so that each target resolves them through its own label map.
+    the labelled vertices pinned, so they are its first steps, by label.
     """
-    order, levels, _, _ = _make_plan(h.vertex_count,
-                                     tuple(pair for pair, _ in h.pairs),
-                                     frozenset(h.labelled_vertices()))
+    order, levels, _ = _make_plan(h.vertex_count,
+                                  tuple(pair for pair, _ in h.pairs),
+                                  tuple(v for _, v in h.labels))
     back = tuple(tuple((w, h.pairs[idx][1]) for w, idx in ready)
                  for ready in levels)
     mass = [sum(m for _, m in edges) for edges in back]
@@ -89,40 +83,28 @@ def _search_plan(h: Multigraph) -> _Source:
     for (u, v), m in h.pairs:
         degree[u] += m
         degree[v] += m
-    label_of = {v: lab for lab, v in h.labels}
     return _Source(
         order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
-        tuple(degree[v] for v in order),
-        tuple((lab, v, degree[v]) for lab, v in h.labels),
-        tuple((label_of[u], label_of[v], m) for (u, v), m in h.pairs
-              if u in label_of and v in label_of),
-        h.edge_count)
-
-
-def _matrix(g: Multigraph) -> list[list[int]]:
-    """Integer adjacency matrix: entry [a][b] is the a-b edge multiplicity."""
-    mat = [[0] * g.vertex_count for _ in range(g.vertex_count)]
-    for (u, v), m in g.pairs:
-        mat[u][v] = mat[v][u] = m
-    return mat
+        tuple(degree[v] for v in order), h.edge_count)
 
 
 class _Target(NamedTuple):
-    """What the surjection search needs of its target graph g: the integer
-    adjacency rows (shared, never written), the g-degrees, |E(g)| and the
-    label map."""
+    """What the surjection search and `count_hom` need of their target
+    graph g: the integer adjacency rows (entry [a][b] is the a-b edge
+    multiplicity; shared, never written), the g-degrees and |E(g)|."""
 
     rows: list[list[int]]
     degree: tuple[int, ...]
     edge_count: int
-    label_map: dict[int, int]
 
 
 @lru_cache(maxsize=1024)
 def _target(g: Multigraph) -> _Target:
     """The search record of g, built once per graph."""
-    rows = _matrix(g)
-    return _Target(rows, tuple(map(sum, rows)), g.edge_count, g.label_map)
+    rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for (u, v), m in g.pairs:
+        rows[u][v] = rows[v][u] = m
+    return _Target(rows, tuple(map(sum, rows)), g.edge_count)
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -133,10 +115,12 @@ def count_hom(h: Multigraph, g: Multigraph, *,
     matrix on every pair of h (each parallel h-copy picks a g-copy) and h's
     labelled vertices pinned to g's.  Only `max_maps` applies.
     """
-    mat = _matrix(g)
+    _check_label_counts(h, g)
+    rows = _target(g).rows
     return _integrate(h.vertex_count, g.vertex_count,
-                      [(u, v, mat, m) for (u, v), m in h.pairs],
-                      _pinned_vertices(h, g), limits=limits)
+                      [(u, v, rows, m) for (u, v), m in h.pairs],
+                      {v: c for (_, v), (_, c) in zip(h.labels, g.labels)},
+                      limits=limits)
 
 
 def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
@@ -145,21 +129,23 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     prod_v (k)_(|psi^-1(v)|) when k is given.
 
     All the pruning lives here, so every caller gets it.  Before the search:
-    h needs at least as many vertices, distinct pairs and edges as g.
-    During it, a branch is cut when the g-vertices not yet covered outnumber
-    the h-vertices left, when the g-edge mass not yet covered exceeds the
-    h-edge mass left to place, or when the fibers overshoot their degree
-    budget.  With k given, a fiber larger than k has weight 0, so no branch
-    grows one.
+    h needs at least as many vertices, distinct pairs and edges as g.  The
+    search places h's vertices in `_search_plan` order: the labelled ones
+    first, each with the one candidate its label allows, then the free
+    ones, each with every g-vertex as a candidate.  At every step a branch
+    is cut when the g-vertices not yet covered outnumber the h-vertices
+    left, when the g-edge mass not yet covered exceeds the h-edge mass left
+    to place, or when the fibers overshoot their degree budget.  With k
+    given, a fiber larger than k has weight 0, so no branch grows one.
 
     The degree budget: every h-edge lands on a g-edge, so at a leaf the
     h-degrees in the fiber of a g-vertex c sum to at least deg_g(c) (each
     g-copy at c is covered), and the overshoots over all c sum to exactly
     2(|E(h)| - |E(g)|).  A fiber's degree sum only grows, so a branch whose
-    overshoot so far, pinned vertices included, passes that budget is cut.
-    `room[c]` is how far c's fiber is below deg_g(c), clipped at 0, and
-    `spare` what is left of the budget.  For |E(h)| = |E(g)| no fiber's
-    degree sum may exceed its g-vertex's degree.
+    overshoot so far passes that budget is cut.  `room[c]` is how far c's
+    fiber is below deg_g(c), clipped at 0, and `spare` what is left of the
+    budget.  For |E(h)| = |E(g)| no fiber's degree sum may exceed its
+    g-vertex's degree.
 
     h and g are each read through one cached record (`_search_plan`,
     `_target`), so a pair pays no set-up beyond its per-call tables.
@@ -177,33 +163,10 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     load = [[0] * nv for _ in range(nv)]
     coverage = [0] * nv
     room = list(tgt.degree)
-    spare = 2 * (src.edge_count - tgt.edge_count)
     assign = [0] * h.vertex_count
-    missing = tgt.edge_count
-    uncovered = nv
-    if src.labelled:
-        g_label = tgt.label_map
-        for lab, v, d in src.labelled:
-            c = g_label[lab]
-            assign[v] = c
-            coverage[c] += 1
-            if d > room[c]:
-                spare -= d - room[c]
-                room[c] = 0
-            else:
-                room[c] -= d
-        for lab_u, lab_v, m in src.label_pairs:
-            a, b = g_label[lab_u], g_label[lab_v]
-            if mult[a][b] == 0:
-                return 0
-            load[a][b] += m
-            load[b][a] += m
-        missing = sum(max(0, m - load[a][b]) for (a, b), m in g.pairs)
-        uncovered -= len(src.labelled)
     order, back, rest, degree = src.order, src.back, src.rest, src.degree
     depth = len(order)
-    if uncovered > depth or missing > rest[0] or spare < 0:
-        return 0
+    choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
     fiber_cap = h.vertex_count if k is None else k
     cap = limits.max_maps
     nodes = 0
@@ -228,7 +191,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         dv = degree[i]
         free_after = depth - i - 1
         mass_after = rest[i + 1]
-        for c in range(nv):
+        for c in choices[i]:
             fresh = coverage[c] == 0
             if uncovered - fresh > free_after or coverage[c] == fiber_cap:
                 continue
@@ -263,7 +226,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                     lrow[d] -= m
                     load[d][c] -= m
 
-    rec(0, uncovered, missing, spare)
+    rec(0, nv, tgt.edge_count, 2 * (src.edge_count - tgt.edge_count))
     return total
 
 

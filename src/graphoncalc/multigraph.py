@@ -26,7 +26,7 @@ Pair = tuple[int, int]
 class Multigraph:
     """An immutable loop-free multigraph with an optional partial labelling."""
 
-    __slots__ = ("vertex_count", "pairs", "labels", "_key")
+    __slots__ = ("vertex_count", "pairs", "labels", "_key", "_hash")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]] = (),
@@ -67,6 +67,7 @@ class Multigraph:
                 raise ValueError("label indices must be exactly 1..k")
         object.__setattr__(self, "labels", tuple(label_items))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")
@@ -119,7 +120,13 @@ class Multigraph:
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.pairs, self.labels))
+        # computed on first use, not in __init__: most graphs built during
+        # enumeration are never hashed, while the morphism search caches
+        # hash the same few graphs on every lookup
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.vertex_count, self.pairs, self.labels)))
+        return self._hash
 
     def __repr__(self):
         parts = [str(self.vertex_count)]

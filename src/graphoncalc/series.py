@@ -200,11 +200,6 @@ class GeometricTail:
         if self.ratio <= 0 or self.scale < 0:
             raise ValueError("tail needs ratio > 0 and scale >= 0")
 
-    def norm(self, n: int) -> Fraction:
-        if n < self.start or (n - self.start) % self.stride:
-            return Fraction(0)
-        return self.scale * self.ratio ** ((n - self.start) // self.stride)
-
 
 class RadiusResult(NamedTuple):
     lower: float
@@ -274,24 +269,6 @@ class PowerSeries:
 
     def slice(self, n: int) -> QuantumGraph:
         return self.slices.get(n, QuantumGraph.zero(self.k))
-
-    def degree_norm(self, n: int) -> Fraction | None:
-        """Sum of coefficient magnitudes at degree n; None when unknown."""
-        if n in self.slices:
-            return self.slices[n].coefficient_norm()
-        if n <= self.max_degree or self.complete:
-            return Fraction(0)
-        if self.tail is not None:
-            return self.tail.norm(n)
-        return None
-
-    def as_polynomial(self) -> QuantumGraph:
-        if not self.complete:
-            raise ValueError("series is not a polynomial")
-        total = QuantumGraph.zero(self.k)
-        for qg in self.slices.values():
-            total = total + qg
-        return total
 
     # -- arithmetic -------------------------------------------------------
 
@@ -487,13 +464,6 @@ class TaylorReport:
 
     degree_coefficients: tuple[tuple[int, tuple[tuple[Multigraph, Fraction], ...]], ...]
     residual_ok: tuple[tuple[int, bool], ...]
-
-    def coefficients(self) -> dict[bytes, tuple[Multigraph, Fraction]]:
-        out: dict[bytes, tuple[Multigraph, Fraction]] = {}
-        for _, items in self.degree_coefficients:
-            for g, c in items:
-                out[canonical_key(g)] = (g, c)
-        return out
 
     def as_quantum(self) -> QuantumGraph:
         return QuantumGraph([(g, c) for _, items in self.degree_coefficients

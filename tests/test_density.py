@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from graphoncalc import (ARG, DecoratedDensity, Multigraph, StepKernel,
                          basis_edge, complete_graph, density, enumerate_Hn,
@@ -125,7 +125,7 @@ class TestTreesOnManyParts:
 class TestCoreAgainstBacktracking:
     """density, labelled_density and eval_decorated against the plain
     backtracking core they replaced, on random multigraphs (parallel edges,
-    isolated vertices, no edges at all) with 0-2 pinned labels and dense,
+    isolated vertices, no edges at all) with 0-3 pinned labels and dense,
     sparse, signed or basis-edge kernels on 1-8 parts."""
 
     KINDS = ("dense", "sparse", "signed", "basis")
@@ -142,10 +142,11 @@ class TestCoreAgainstBacktracking:
         return random_kernel(rng, parts, denominator=2)  # 1/3 of cells zero
 
     @settings(max_examples=150, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+    @given(st.randoms(use_true_random=False), st.integers(0, 3),
            st.integers(1, 8), st.sampled_from(KINDS), st.booleans())
     def test_matches_oracle(self, rng, labels, parts, kind, ensure_edge):
         g = random_multigraph(rng, 5, 6, ensure_edge=ensure_edge)
+        assume(g.vertex_count >= labels)
         h = random_labelled(rng, g, labels)
         f = self._kernel(rng, kind, parts)
         factors = [(u, v, f, m) for (u, v), m in g.pairs]

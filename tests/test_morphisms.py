@@ -121,6 +121,14 @@ class TestSurj:
                         assert surjects[(a, c)]
 
 
+def _random_labelled(rng, max_vertices: int, max_edges: int, labels: int):
+    """A random multigraph with `labels` random vertices labelled; a draw
+    with fewer vertices than labels is rejected."""
+    g = random_multigraph(rng, max_vertices, max_edges)
+    assume(g.vertex_count >= labels)
+    return random_labelled(rng, g, labels)
+
+
 class TestRandomPairsAgainstOracles:
     """Labelled and unlabelled random pairs: the pruned surjection search
     against the plain backtracking search it replaced (half the targets are
@@ -128,25 +136,25 @@ class TestRandomPairsAgainstOracles:
     against explicit enumeration."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+    @given(st.randoms(use_true_random=False), st.integers(0, 3),
            st.integers(1, 3), st.booleans())
     def test_counts_and_weighted_sums(self, rng, labels, k, image):
-        h = random_labelled(rng, random_multigraph(rng, 5, 5), labels)
+        h = _random_labelled(rng, 5, 5, labels)
         if image:
             g = random_image(rng, h, rng.randint(max(labels, 1), 4))
         else:
-            g = random_labelled(rng, random_multigraph(rng, 4, 4), labels)
+            g = _random_labelled(rng, 4, 4, labels)
         assert count_surj(h, g) == backtrack_surj(h, g)
         assert surjection_weight_sum(h, g, k) == \
             backtrack_surjection_weight_sum(h, g, k)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+    @given(st.randoms(use_true_random=False), st.integers(0, 3),
            st.sampled_from([None, 1, 2, 3]), st.integers(0, 2))
     def test_degree_budget_boundary(self, rng, labels, k, short):
         # g is an image of h with exactly `short` fewer edges, so the fibers'
         # degree overshoot budget is 0, 2 or 4 and surjections often exist
-        h = random_labelled(rng, random_multigraph(rng, 5, 6), labels)
+        h = _random_labelled(rng, 5, 6, labels)
         vertices = rng.randint(max(labels, 1), 4)
         g = random_image_short_of(rng, h, vertices, short)
         assume(g is not None)
@@ -157,21 +165,21 @@ class TestRandomPairsAgainstOracles:
                 backtrack_surjection_weight_sum(h, g, k)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
     def test_hom_matches_explicit_enumeration(self, rng, labels):
-        h = random_labelled(rng, random_multigraph(rng, 4, 3), labels)
-        g = random_labelled(rng, random_multigraph(rng, 3, 3), labels)
+        h = _random_labelled(rng, 4, 3, labels)
+        g = _random_labelled(rng, 3, 3, labels)
         assert count_hom(h, g) == brute_hom(h, g)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.randoms(use_true_random=False), st.integers(0, 2), st.booleans())
+    @given(st.randoms(use_true_random=False), st.integers(0, 3), st.booleans())
     def test_hom_matches_backtracking_on_larger_pairs(self, rng, labels, image):
         # up to 7 source vertices and 9 edges: past what brute_hom enumerates
-        h = random_labelled(rng, random_multigraph(rng, 7, 9), labels)
+        h = _random_labelled(rng, 7, 9, labels)
         if image:
             g = random_image(rng, h, rng.randint(max(labels, 1), 5))
         else:
-            g = random_labelled(rng, random_multigraph(rng, 5, 6), labels)
+            g = _random_labelled(rng, 5, 6, labels)
         assert count_hom(h, g) == backtrack_hom(h, g)
 
     def test_labelled_class_pairs(self):
@@ -191,6 +199,14 @@ class TestWorkCap:
         # without the fiber-degree cut (which max_maps=24 would refuse)
         h = Multigraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
         assert count_aut(h, limits=Limits(max_maps=24)) == 6
+
+    def test_each_labelled_vertex_is_one_search_node(self):
+        # a 3-star with its centre labelled: the pinned centre is the first
+        # search step, so the search visits 17 nodes
+        h = Multigraph(4, [(0, 1), (0, 2), (0, 3)], {1: 0})
+        assert count_aut(h, limits=Limits(max_maps=17)) == 6
+        with pytest.raises(CapExceeded, match="visited 17 nodes"):
+            count_aut(h, limits=Limits(max_maps=16))
 
     def test_tiny_cap_raises(self):
         tiny = Limits(max_maps=10)
