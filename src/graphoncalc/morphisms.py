@@ -20,12 +20,23 @@ a branch by vertex coverage, by uncovered g-edge mass, and by a
 fiber-degree budget: at the end the h-degrees in each g-vertex's fiber sum
 to at least its g-degree, with total overshoot exactly 2(|E(h)| - |E(g)|),
 so a branch that already overshoots by more is cut (for equal edge counts:
-no fiber's degree sum exceeds its g-vertex's degree).  What the search
-needs of a graph is computed once per graph, not once per (h, g) pair:
-`_search_plan(h)` holds the source's order, back edges, degrees and edge
-count, and `_target(g)` the target's adjacency rows, degrees and edge
-count, both in bounded caches; `count_hom` reads its adjacency rows from
-`_target(g)` too.
+no fiber's degree sum exceeds its g-vertex's degree).
+
+The search also folds the source's twins: unlabelled vertices with the same
+multiplicity to every other vertex.  Swapping two twins is an automorphism
+of h that keeps a leaf's loads, fiber sizes and weight, so along each twin
+class, in search order, the search takes only nondecreasing images and
+weighs each leaf by t!/prod r!, where t is the class size and the r are the
+lengths of its runs of equal images: the number of leaves its twin swaps
+reach.  This is a lex-leader rule for the symmetry of swapping twins
+(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996).
+
+What the search needs of a graph is computed once per graph, not once per
+(h, g) pair: `_search_plan(h)` holds the source's order, back edges,
+degrees, twins and edge count, and `_target(g)` the target's adjacency
+rows, degrees and edge count, both in bounded caches; `count_hom` reads its
+adjacency rows from `_target(g)` too.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import NamedTuple
 
 from .density import _cap_exceeded, _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _adjacency, _twins
 
 
 @lru_cache(maxsize=None)
@@ -56,13 +67,20 @@ class _Source(NamedTuple):
     """What the surjection search needs of its source graph h: the vertices
     in search order, labelled ones first by label; per step, the h-edges
     (neighbour, multiplicity) to the vertices placed before it, the h-edge
-    mass placed at that step or later (one more entry, 0, at the end) and
-    the h-degree of the vertex placed; and |E(h)|."""
+    mass placed at that step or later (one more entry, 0, at the end), the
+    h-degree of the vertex placed and its previous twin (the member of its
+    twin class placed last before it, or -1); the twin classes with two or
+    more members, each in search order; and |E(h)|.
+
+    Twins are unlabelled vertices with the same multiplicity to every other
+    vertex (`multigraph._twins`); labelled vertices are in no class."""
 
     order: tuple[int, ...]
     back: tuple[tuple[tuple[int, int], ...], ...]
     rest: tuple[int, ...]
     degree: tuple[int, ...]
+    twin: tuple[int, ...]
+    twin_classes: tuple[tuple[int, ...], ...]
     edge_count: int
 
 
@@ -83,9 +101,21 @@ def _search_plan(h: Multigraph) -> _Source:
     for (u, v), m in h.pairs:
         degree[u] += m
         degree[v] += m
+    adj = _adjacency(h)
+    classes: list[list[int]] = []
+    twin = [-1] * h.k
+    for v in order[h.k:]:
+        members = next((c for c in classes if _twins(adj, c[0], v)), None)
+        if members is None:
+            classes.append([v])
+            twin.append(-1)
+        else:
+            twin.append(members[-1])
+            members.append(v)
     return _Source(
         order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
-        tuple(degree[v] for v in order), h.edge_count)
+        tuple(degree[v] for v in order), tuple(twin),
+        tuple(tuple(c) for c in classes if len(c) > 1), h.edge_count)
 
 
 class _Target(NamedTuple):
@@ -138,6 +168,14 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     to place, or when the fibers overshoot their degree budget.  With k
     given, a fiber larger than k has weight 0, so no branch grows one.
 
+    The twin fold: a free vertex with an earlier twin takes only the
+    g-vertices from its previous twin's image on, so the images along each
+    twin class are nondecreasing in search order.  Every vertex map is a
+    twin swap of exactly one such map, and a swap keeps its weight, so a
+    leaf counts t!/prod r! times for each class (class size t, runs of
+    equal images r).  The cuts hold at every leaf, so none of them cuts a
+    leaf the fold keeps.
+
     The degree budget: every h-edge lands on a g-edge, so at a leaf the
     h-degrees in the fiber of a g-vertex c sum to at least deg_g(c) (each
     g-copy at c is covered), and the overshoots over all c sum to exactly
@@ -165,6 +203,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     room = list(tgt.degree)
     assign = [0] * h.vertex_count
     order, back, rest, degree = src.order, src.back, src.rest, src.degree
+    twin, twin_classes = src.twin, src.twin_classes
     depth = len(order)
     choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
     fiber_cap = h.vertex_count if k is None else k
@@ -184,6 +223,15 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
             if k is not None:
                 for size in coverage:
                     ways *= perm(k, size)
+            # this leaf stands for the t!/prod r! leaves its twin swaps
+            # reach; each step is exact, as every prefix of a class has an
+            # integer multinomial of its own
+            for members in twin_classes:
+                run = 1
+                for s in range(1, len(members)):
+                    same = assign[members[s]] == assign[members[s - 1]]
+                    run = run + 1 if same else 1
+                    ways = ways * (s + 1) // run
             total += ways
             return
         v = order[i]
@@ -191,7 +239,8 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         dv = degree[i]
         free_after = depth - i - 1
         mass_after = rest[i + 1]
-        for c in choices[i]:
+        t = twin[i]
+        for c in choices[i] if t < 0 else range(assign[t], nv):
             fresh = coverage[c] == 0
             if uncovered - fresh > free_after or coverage[c] == fiber_cap:
                 continue

@@ -184,13 +184,24 @@ def _refine(verts: tuple[int, ...], adj, colours: dict[int, int]) -> dict[int, i
         colours = new
 
 
-def _twin_representatives(cell: list[int], verts, adj) -> list[int]:
-    # u, v are twins when swapping them is an automorphism; branching on one
-    # representative per twin class is enough.
+def _twins(adj, u: int, v: int) -> bool:
+    """Whether u and v have the same multiplicity to every other vertex.
+
+    Then swapping u and v is an automorphism of the unlabelled graph, and
+    the relation is an equivalence.  `adj` is `_adjacency`'s map of nonzero
+    multiplicities; the multiplicity between u and v themselves is free.
+    """
+    a, b = adj[u], adj[v]
+    return (len(a) - (v in a) == len(b) - (u in b)
+            and all(w == v or b.get(w) == m for w, m in a.items()))
+
+
+def _twin_representatives(cell: list[int], adj) -> list[int]:
+    # swapping twins is an automorphism, so branching on one representative
+    # per twin class is enough
     reps: list[int] = []
     for u in cell:
-        if not any(all(adj[u].get(w, 0) == adj[r].get(w, 0)
-                       for w in verts if w not in (u, r)) for r in reps):
+        if not any(_twins(adj, u, r) for r in reps):
             reps.append(u)
     return reps
 
@@ -227,7 +238,7 @@ def _canon_component(verts: tuple[int, ...], adj, label_of: dict[int, int]) -> t
             order = sorted(verts, key=colours.__getitem__)
             return _encode_ordering(order, adj, label_of)
         best = None
-        for u in _twin_representatives(target, verts, adj):
+        for u in _twin_representatives(target, adj):
             branched = {v: (colours[v], 0 if v == u else 1) for v in verts}
             enc = search(_normalize_colours(branched))
             if best is None or enc < best:

@@ -696,6 +696,31 @@ def random_multigraph(rng, max_vertices: int = 4, max_edges: int = 4,
     return Multigraph(nv, edges)
 
 
+def random_blow_up(rng, max_vertices: int = 6) -> Multigraph:
+    """A random multigraph rich in twin vertices: a random skeleton on 2 or 3
+    vertices in which each vertex becomes a class of 1-3 copies.  Copies
+    share their vertex's skeleton edges and are joined to each other by one
+    random multiplicity (0 for non-adjacent twins), so each class is a twin
+    class.  Stars, doubled leaves, K_{2,t} and adjacent twins joined by a
+    multi-edge all arise; a draw past `max_vertices` is shrunk class by
+    class."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    while sum(sizes) > max_vertices:
+        sizes[sizes.index(max(sizes))] -= 1
+    first = list(itertools.accumulate(sizes, initial=0))
+    members = [range(first[i], first[i + 1]) for i in range(len(sizes))]
+    edges = []
+    for a, b in itertools.combinations(range(len(sizes)), 2):
+        m = rng.randint(0, 2)
+        if m:
+            edges += [(u, v, m) for u in members[a] for v in members[b]]
+    for cls in members:
+        m = rng.randint(0, 2)
+        if m:
+            edges += [(u, v, m) for u, v in itertools.combinations(cls, 2)]
+    return Multigraph(first[-1], edges)
+
+
 def random_labelled(rng, g: Multigraph, k: int) -> Multigraph:
     """g with k of its vertices, chosen at random, labelled 1..k."""
     chosen = rng.sample(range(g.vertex_count), k)

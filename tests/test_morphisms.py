@@ -16,9 +16,9 @@ from graphoncalc.series import whitney_matrix
 from .bruteforce import (backtrack_hom, backtrack_surj,
                          backtrack_surjection_weight_sum, brute_hom,
                          brute_surj, classical_simple_hom,
-                         inclusion_exclusion_surj, random_image,
-                         random_image_short_of, random_labelled,
-                         random_multigraph)
+                         inclusion_exclusion_surj, random_blow_up,
+                         random_image, random_image_short_of,
+                         random_labelled, random_multigraph)
 
 
 class TestHom:
@@ -164,6 +164,51 @@ class TestRandomPairsAgainstOracles:
             assert surjection_weight_sum(h, g, k) == \
                 backtrack_surjection_weight_sum(h, g, k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2),
+           st.sampled_from([None, 1, 2, 3]), st.booleans())
+    def test_twin_rich_sources(self, rng, labels, k, image):
+        # sources built of twin classes, some members pinned: the search
+        # visits one leaf per class of twin swaps and weighs it by t!/prod r!
+        h = random_blow_up(rng)
+        assume(h.vertex_count >= labels)
+        h = random_labelled(rng, h, labels)
+        if image:
+            g = random_image(rng, h, rng.randint(max(labels, 1), 4))
+        else:
+            g = random_labelled(rng, random_blow_up(rng, 4), labels)
+        if k is None:
+            assert count_surj(h, g) == backtrack_surj(h, g)
+        else:
+            assert surjection_weight_sum(h, g, k) == \
+                backtrack_surjection_weight_sum(h, g, k)
+
+    @pytest.mark.parametrize("h", [
+        star_graph(4),
+        # doubled leaves at both ends of an edge
+        Multigraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),
+        # K_{2,3}
+        Multigraph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+        # adjacent twins 0, 1 joined by a double edge
+        Multigraph(4, [(0, 1, 2), (0, 2), (1, 2), (2, 3)]),
+        # twins next to pins: a 3-star's centre, one side or one leaf of
+        # K_{2,3}, a leaf and a centre of the doubled leaves
+        Multigraph(4, [(0, 1), (0, 2), (0, 3)], {1: 0}),
+        Multigraph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], {1: 0}),
+        Multigraph(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)], {1: 2}),
+        Multigraph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], {1: 2, 2: 1}),
+    ], ids=["star4", "doubled-leaves", "K23", "adjacent-twins", "pinned-centre",
+            "K23-pinned-side", "K23-pinned-leaf", "doubled-leaves-pinned"])
+    def test_twin_families(self, h):
+        rng = random.Random(12)
+        targets = [h] + [random_image(rng, h, rng.randint(max(h.k, 1), 4))
+                         for _ in range(6)]
+        for g in targets:
+            assert count_surj(h, g) == backtrack_surj(h, g)
+            for k in (1, 2, 3):
+                assert surjection_weight_sum(h, g, k) == \
+                    backtrack_surjection_weight_sum(h, g, k)
+
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 3))
     def test_hom_matches_explicit_enumeration(self, rng, labels):
@@ -195,18 +240,33 @@ class TestWorkCap:
         assert count_aut(matching(4), limits=DEFAULT_LIMITS) == 384
 
     def test_degree_cut_fits_a_tighter_cap(self):
-        # a 4-star with one leaf extended: the search visits 24 nodes, 85
-        # without the fiber-degree cut (which max_maps=24 would refuse)
+        # a 4-star with one leaf extended: the search visits 11 nodes, 48
+        # without the fiber-degree cut (which max_maps=24 would refuse); the
+        # three other leaves are twins, and without folding them the search
+        # visits 24 nodes
         h = Multigraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
         assert count_aut(h, limits=Limits(max_maps=24)) == 6
 
+    @pytest.mark.parametrize("h, order, nodes", [
+        (star_graph(5), 120, 33),
+        (matching(4), 384, 193),
+    ])
+    def test_twin_fold_fits_a_tighter_cap(self, h, order, nodes):
+        # the search visits one leaf per class of twin swaps: 33 nodes for
+        # the 5-star and 193 for the 4-matching, where visiting every leaf
+        # takes 327 and 1,265
+        assert count_aut(h, limits=Limits(max_maps=nodes)) == order
+        with pytest.raises(CapExceeded, match=f"visited {nodes} nodes"):
+            count_aut(h, limits=Limits(max_maps=nodes - 1))
+
     def test_each_labelled_vertex_is_one_search_node(self):
-        # a 3-star with its centre labelled: the pinned centre is the first
-        # search step, so the search visits 17 nodes
-        h = Multigraph(4, [(0, 1), (0, 2), (0, 3)], {1: 0})
-        assert count_aut(h, limits=Limits(max_maps=17)) == 6
-        with pytest.raises(CapExceeded, match="visited 17 nodes"):
-            count_aut(h, limits=Limits(max_maps=16))
+        # a star with leaf multiplicities 1, 2, 3 and its centre labelled, so
+        # no two free vertices are twins: the pinned centre is the first
+        # search step, so the search visits 10 nodes
+        h = Multigraph(4, [(0, 1), (0, 2, 2), (0, 3, 3)], {1: 0})
+        assert count_aut(h, limits=Limits(max_maps=10)) == 12
+        with pytest.raises(CapExceeded, match="visited 10 nodes"):
+            count_aut(h, limits=Limits(max_maps=9))
 
     def test_tiny_cap_raises(self):
         tiny = Limits(max_maps=10)
