@@ -206,8 +206,7 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
             f"triangularity k={k}", ok,
             details[0] if details else "triangular with positive diagonal"))
 
-        det = linalg.determinant(
-            [[Fraction(x) for x in row] for row in matrix.rows(tuple(ordered))])
+        det = linalg.determinant(matrix.rows(tuple(ordered)))
         checks.append(StructureCheck(
             f"invertibility k={k}", det != 0, f"det = {det}"))
 

@@ -5,6 +5,11 @@ surjection-count matrices it meets are large and mostly zero (a Whitney
 matrix can have hundreds of rows and ~90 % zero entries), so each pivot step
 updates only the rows with a nonzero in the pivot column, and in them only
 the pivot row's nonzero columns.
+
+Entries may be Fractions or ints (the consistency matrices are ints), mixed
+freely; results are Fractions.  Elimination runs on a copy of the rows that
+converts only the non-Fraction entries: a Fraction is immutable, so the copy
+shares it, and the caller's rows are never changed.
 """
 
 from __future__ import annotations
@@ -48,11 +53,12 @@ def _eliminate(m: list[list[Fraction]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def _copy(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _copy(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+            for row in rows]
 
 
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+def determinant(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     m = _copy(rows)
     n = len(m)
     if any(len(row) != n for row in m):
@@ -66,8 +72,8 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def solve(rows: Sequence[Sequence[Fraction]],
-          rhs: Sequence[Fraction]) -> list[Fraction]:
+def solve(rows: Sequence[Sequence[Fraction | int]],
+          rhs: Sequence[Fraction | int]) -> list[Fraction]:
     """Solve a square system exactly; raises ValueError when singular."""
     n = len(rows)
     if any(len(row) != n for row in rows) or len(rhs) != n:
@@ -87,5 +93,5 @@ def solve(rows: Sequence[Sequence[Fraction]],
     return x
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return len(_eliminate(_copy(rows))[0])

@@ -22,6 +22,17 @@ to at least its g-degree, with total overshoot exactly 2(|E(h)| - |E(g)|),
 so a branch that already overshoots by more is cut (for equal edge counts:
 no fiber's degree sum exceeds its g-vertex's degree).
 
+The same budget, spare = 2(|E(h)| - |E(g)|), gives two tests that prove a
+pair is 0 before any search set-up, on degrees cached per graph:
+- labelled degrees: sum over labels i of max(0, deg_h(L_i) - deg_g(L_i))
+  is at most spare, since the fiber of g's L_i holds h's L_i, so its
+  overshoot is at least that difference;
+- degree prefix sums: with both degree sequences sorted in descending
+  order, h's top-i sum is at most g's top-i sum plus spare, for every i,
+  since h's top i vertices land in at most i fibers, whose degree sums are
+  their g-degrees plus overshoots (for equal edge counts: majorization).
+Most zero entries of a labelled surjection-count matrix fail one of them.
+
 The search also folds the source's twins: unlabelled vertices with the same
 multiplicity to every other vertex.  Swapping two twins is an automorphism
 of h that keeps a leaf's loads, fiber sizes and weight, so along each twin
@@ -41,6 +52,7 @@ adjacency rows from `_target(g)` too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -63,6 +75,11 @@ def _check_label_counts(h: Multigraph, g: Multigraph) -> None:
         raise ValueError("label counts must agree (pad the smaller graph first)")
 
 
+def _degree_prefix(degree: Iterable[int]) -> tuple[int, ...]:
+    """Prefix sums of the degrees sorted in descending order."""
+    return tuple(accumulate(sorted(degree, reverse=True)))
+
+
 class _Source(NamedTuple):
     """What the surjection search needs of its source graph h: the vertices
     in search order, labelled ones first by label; per step, the h-edges
@@ -70,7 +87,14 @@ class _Source(NamedTuple):
     mass placed at that step or later (one more entry, 0, at the end), the
     h-degree of the vertex placed and its previous twin (the member of its
     twin class placed last before it, or -1); the twin classes with two or
-    more members, each in search order; and |E(h)|.
+    more members, each in search order; |E(h)|; and the prefix sums of h's
+    degrees sorted in descending order.  The labelled vertices' degrees,
+    by label, are the first entries of `degree`.
+
+    The degree tests before the search compare `degree` and `prefix` with
+    the target's: a pair fails them only when no surjection exists, since
+    each fiber's degree sum is its g-vertex's degree plus an overshoot, and
+    the overshoots sum to 2(|E(h)| - |E(g)|).
 
     Twins are unlabelled vertices with the same multiplicity to every other
     vertex (`multigraph._twins`); labelled vertices are in no class."""
@@ -82,6 +106,7 @@ class _Source(NamedTuple):
     twin: tuple[int, ...]
     twin_classes: tuple[tuple[int, ...], ...]
     edge_count: int
+    prefix: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -115,17 +140,23 @@ def _search_plan(h: Multigraph) -> _Source:
     return _Source(
         order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
         tuple(degree[v] for v in order), tuple(twin),
-        tuple(tuple(c) for c in classes if len(c) > 1), h.edge_count)
+        tuple(tuple(c) for c in classes if len(c) > 1), h.edge_count,
+        _degree_prefix(degree))
 
 
 class _Target(NamedTuple):
     """What the surjection search and `count_hom` need of their target
     graph g: the integer adjacency rows (entry [a][b] is the a-b edge
-    multiplicity; shared, never written), the g-degrees and |E(g)|."""
+    multiplicity; shared, never written), the g-degrees and |E(g)|; for the
+    degree tests before the surjection search, the labelled vertices'
+    degrees by label and the prefix sums of the degrees sorted in
+    descending order."""
 
     rows: list[list[int]]
     degree: tuple[int, ...]
     edge_count: int
+    label_degree: tuple[int, ...]
+    prefix: tuple[int, ...]
 
 
 @lru_cache(maxsize=1024)
@@ -134,7 +165,10 @@ def _target(g: Multigraph) -> _Target:
     rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
     for (u, v), m in g.pairs:
         rows[u][v] = rows[v][u] = m
-    return _Target(rows, tuple(map(sum, rows)), g.edge_count)
+    degree = tuple(map(sum, rows))
+    return _Target(rows, degree, g.edge_count,
+                   tuple(degree[c] for _, c in g.labels),
+                   _degree_prefix(degree))
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -159,10 +193,11 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     prod_v (k)_(|psi^-1(v)|) when k is given.
 
     All the pruning lives here, so every caller gets it.  Before the search:
-    h needs at least as many vertices, distinct pairs and edges as g.  The
-    search places h's vertices in `_search_plan` order: the labelled ones
-    first, each with the one candidate its label allows, then the free
-    ones, each with every g-vertex as a candidate.  At every step a branch
+    h needs at least as many vertices, distinct pairs and edges as g, and
+    must pass two degree tests (below).  The search places h's vertices in
+    `_search_plan` order: the labelled ones first, each with the one
+    candidate its label allows, then the free ones, each with every
+    g-vertex as a candidate.  At every step a branch
     is cut when the g-vertices not yet covered outnumber the h-vertices
     left, when the g-edge mass not yet covered exceeds the h-edge mass left
     to place, or when the fibers overshoot their degree budget.  With k
@@ -185,6 +220,19 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     budget.  For |E(h)| = |E(g)| no fiber's degree sum may exceed its
     g-vertex's degree.
 
+    The same budget gives the two degree tests, each a proof that the sum
+    is 0, run on cached tuples before any per-call table is built:
+    - labelled degrees: the fiber of g's L_i holds h's L_i, so its
+      overshoot is at least deg_h(L_i) - deg_g(L_i); the labels' g-vertices
+      are distinct, so these differences, clipped at 0, sum to at most
+      spare;
+    - prefix sums: h's i vertices of largest degree land in at most i
+      fibers, whose degree sums are at most g's i largest degrees plus
+      spare, so h's top-i degree sum is at most g's plus spare.
+    A search that returns 0 still pays for its per-call tables, and most
+    pairs of a labelled surjection-count matrix are 0; these tests refuse
+    most of those pairs.
+
     h and g are each read through one cached record (`_search_plan`,
     `_target`), so a pair pays no set-up beyond its per-call tables.
     """
@@ -192,8 +240,11 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     nv = g.vertex_count
     src = _search_plan(h)
     tgt = _target(g)
-    if (h.vertex_count < nv or len(h.pairs) < len(g.pairs)
-            or src.edge_count < tgt.edge_count):
+    spare = 2 * (src.edge_count - tgt.edge_count)
+    if (h.vertex_count < nv or len(h.pairs) < len(g.pairs) or spare < 0
+            or sum(d - e for d, e in zip(src.degree, tgt.label_degree)
+                   if d > e) > spare
+            or any(a > b + spare for a, b in zip(src.prefix, tgt.prefix))):
         return 0
     if nv == 0:
         return 1 if h.vertex_count == 0 else 0
@@ -275,7 +326,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                     lrow[d] -= m
                     load[d][c] -= m
 
-    rec(0, nv, tgt.edge_count, 2 * (src.edge_count - tgt.edge_count))
+    rec(0, nv, tgt.edge_count, spare)
     return total
 
 

@@ -481,6 +481,15 @@ def basis_tuple(h: Multigraph, p: int) -> tuple[StepKernel, ...]:
     return tuple(basis_edge(p, u + 1, v + 1) for u, v in h.edge_slots())
 
 
+_ZERO = Fraction(0)
+
+
+def _count_entry(count: int, scale: int) -> Fraction:
+    """count / scale for a surjection-count matrix entry.  Most entries are
+    0, and all of them share one Fraction; Fractions are immutable."""
+    return Fraction(count, scale) if count else _ZERO
+
+
 def surjection_matrix(n: int, p: int, *,
                       limits: Limits = DEFAULT_LIMITS):
     """Rows h in the p-vertex classes, columns H in the no-isolated classes:
@@ -490,8 +499,8 @@ def surjection_matrix(n: int, p: int, *,
     matrix = []
     for h in rows_classes:
         stripped = strip_isolated(h)
-        matrix.append([Fraction(count_surj(H, stripped, limits=limits),
-                                p ** H.vertex_count)
+        matrix.append([_count_entry(count_surj(H, stripped, limits=limits),
+                                    p ** H.vertex_count)
                        for H in col_classes])
     return rows_classes, col_classes, matrix
 
@@ -602,8 +611,8 @@ def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = Non
     rows = []
     for H in classes:
         unlabelled = H.vertex_count - k
-        rows.append(tuple(Fraction(count_surj(H, G, limits=limits),
-                                   p ** unlabelled)
+        rows.append(tuple(_count_entry(count_surj(H, G, limits=limits),
+                                       p ** unlabelled)
                           for G in classes))
     return WhitneyMatrix(n, k, p, tuple(sorted(pins.items())), classes,
                          tuple(rows))

@@ -20,7 +20,9 @@ def _check_against_gauss(rows, rhs):
         with pytest.raises(ValueError, match="singular"):
             linalg.solve(rows, rhs)
     else:
-        assert linalg.solve(rows, rhs) == gauss_solve(rows, rhs)
+        x = linalg.solve(rows, rhs)
+        assert x == gauss_solve(rows, rhs)
+        assert all(isinstance(v, Fraction) for v in x)
 
 
 class TestAgainstGaussOracle:
@@ -31,6 +33,23 @@ class TestAgainstGaussOracle:
         rows = random_matrix(rng, kind, n)
         rhs = random_matrix(rng, "dense", n)[0]
         _check_against_gauss(rows, rhs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("mixed", [False, True])
+    @settings(max_examples=20, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 6))
+    def test_int_entries(self, kind, mixed, rng, n):
+        # int rows (as consistency matrices come), or ints mixed with
+        # Fractions: every result is a Fraction, and the caller's rows keep
+        # their values and their types
+        def entry(x):
+            return x if mixed and rng.random() < 0.5 else int(60 * x)
+
+        rows = [[entry(x) for x in row] for row in random_matrix(rng, kind, n)]
+        rhs = [entry(x) for x in random_matrix(rng, "dense", n)[0]]
+        before = [[(type(x), x) for x in row] for row in [*rows, rhs]]
+        _check_against_gauss(rows, rhs)
+        assert [[(type(x), x) for x in row] for row in [*rows, rhs]] == before
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 6),

@@ -228,10 +228,13 @@ class TestRandomPairsAgainstOracles:
         assert count_hom(h, g) == backtrack_hom(h, g)
 
     def test_labelled_class_pairs(self):
-        classes = enumerate_Hn(3, 1)
-        for h in classes:
-            for g in classes:
-                assert count_surj(h, g) == backtrack_surj(h, g)
+        # with two labels, 3,882 of the 69^2 pairs are 0; the degree tests
+        # refuse 1,379 of them that pass the vertex and pair counts
+        for k in (1, 2):
+            classes = enumerate_Hn(3, k)
+            for h in classes:
+                for g in classes:
+                    assert count_surj(h, g) == backtrack_surj(h, g)
 
 
 class TestWorkCap:
@@ -267,6 +270,26 @@ class TestWorkCap:
         assert count_aut(h, limits=Limits(max_maps=10)) == 12
         with pytest.raises(CapExceeded, match="visited 10 nodes"):
             count_aut(h, limits=Limits(max_maps=9))
+
+    @pytest.mark.parametrize("h, g", [
+        # labelled degrees: the labelled centre of a 2-path has degree 2, its
+        # image (the labelled end) degree 1, and no edge is spare
+        (Multigraph(3, [(0, 1), (1, 2)], {1: 1}),
+         Multigraph(3, [(0, 1), (1, 2)], {1: 0})),
+        # prefix sums, equal edge counts: the 3-star's top degree 3 exceeds
+        # the 3-path's 2
+        (star_graph(3), path_graph(3)),
+        # prefix sums, 2 spare edge ends: the top two h-degrees sum to
+        # 5 + 4 = 9, past the top two g-degrees 4 + 2 plus 2
+        (Multigraph(3, [(0, 1, 4), (0, 2)]),
+         Multigraph(3, [(0, 1, 2), (0, 2, 2)])),
+    ])
+    def test_degree_tests_refuse_before_the_search(self, h, g):
+        # each pair passes the vertex, pair and edge counts and fails one
+        # degree test by one, so the search never starts: max_maps=0 refuses
+        # any search, even one that stops at its first node
+        assert backtrack_surj(h, g) == 0
+        assert count_surj(h, g, limits=Limits(max_maps=0)) == 0
 
     def test_tiny_cap_raises(self):
         tiny = Limits(max_maps=10)
