@@ -19,6 +19,17 @@ determine the multiplicities, these classes are exactly the orbits, however
 large Aut(H) is.  At the zero kernel only terms with as many edges as
 directions are evaluated: a copy left on the base zeroes its term.
 
+Most labellings on sparse kernels, such as the basis edges `extract_T`
+uses, have density 0, and their kernels' supports show it before any
+search (node and arc consistency: Mackworth, "Consistency in networks of
+relations", 1977).  Each kernel class has two support bitmasks,
+`StepKernel.support`: the rows with a nonzero cell, and the nonzero cells.
+A labelling is skipped when, at some vertex, no row is nonzero in every
+factor there (the AND of their row masks is 0), or, on some pair, no cell
+is nonzero in every factor on it (the AND of their cell masks is 0): every
+vertex map then reads a zero cell.  The skip is exact but not complete; a
+labelling that passes may still have density 0.
+
 Evaluating the derivative at the zero kernel on tuples of basis edges and
 indexing the values by the isomorphism class of the tuple's multigraph
 yields the class data that the consistency machinery consumes (`extract_T`).
@@ -127,6 +138,31 @@ def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], 
     return tuple(out)
 
 
+def _vanishes(vertex_count: int, factors: tuple,
+              supports: Sequence[tuple[int, int]]) -> bool:
+    """Whether the support masks prove a labelling's density 0.
+
+    `factors` are `_orbits`' (u, v, kernel class, exponent), each pair's
+    factors consecutive; `supports[c]` is class c's (row mask, cell mask).
+    True when some vertex has no part on which every factor at it has a
+    nonzero row, or some pair no cell on which every factor on it is
+    nonzero: then every vertex map reads a zero cell.
+    """
+    at = [-1] * vertex_count
+    pair = None
+    for u, v, c, _ in factors:
+        rows, cells = supports[c]
+        at[u] &= rows
+        at[v] &= rows
+        if (u, v) != pair:
+            pair, common = (u, v), cells
+        else:
+            common &= cells
+        if not common:
+            return True
+    return not all(at)
+
+
 def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
                   strict: bool = False,
                   limits: Limits = DEFAULT_LIMITS) -> Fraction:
@@ -137,6 +173,11 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     each direction must be admissible at the base (one-sided movements stay
     inside the unit-interval kernels); by default the closed formula is used
     as the multilinear extension without that check.
+
+    One density evaluation per orbit of labellings (`_orbits`), except
+    where the kernels' support masks prove the orbit's density 0
+    (`_vanishes`): a vertex whose factors' row masks AND to 0, or a pair
+    whose factors' cell masks AND to 0.
     """
     if F.k:
         raise ValueError("derivatives act on unlabelled density combinations")
@@ -155,6 +196,7 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     of = [ids.setdefault(kernel.integerized(), len(ids)) for kernel in refined]
     kernels = [refined[of.index(c)] for c in range(len(ids))]
     counts = tuple(of[1:].count(c) for c in range(len(ids)))
+    supports = [kernel.support() for kernel in kernels]
 
     # on the zero kernel, a copy left on the base zeroes its term
     zero_base = not any(map(any, base.integerized()[1]))
@@ -163,6 +205,8 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
         if m > H.edge_count or (zero_base and m < H.edge_count):
             continue
         for factors, weight in _orbits(H, counts):
+            if _vanishes(H.vertex_count, factors, supports):
+                continue
             total += coeff * weight * _evaluate(
                 H, base.parts, [(u, v, kernels[c], e) for u, v, c, e in factors],
                 {}, limits=limits)

@@ -89,7 +89,9 @@ def pi_fiber_oracle(n: int, k: int, p: int, *,
     if p < 2 * n:
         raise ValueError("the fiber construction needs p >= 2n")
     if k ** (2 * n) > limits.max_index_tuples:
-        raise CapExceeded(f"k^(2n) = {k ** (2 * n)} exceeds the enumeration cap")
+        raise CapExceeded(f"k^(2n) = {k ** (2 * n)} index tuples, over the "
+                          f"max_index_tuples cap of {limits.max_index_tuples} "
+                          f"(raise it with --max-index-tuples)")
     classes = enumerate_Hn(n, limits=limits)
     keys = {canonical_key(g) for g in classes}
     entries: dict[tuple[bytes, bytes], int] = {

@@ -284,6 +284,19 @@ def canonical_key(g: Multigraph) -> bytes:
     return key
 
 
+def padded_key(key: bytes, vertex_count: int) -> bytes:
+    """The canonical key of a graph whose key is `key`, padded with
+    unlabelled isolated vertices to `vertex_count` vertices.
+
+    Such vertices enter the key only through its leading vertex count, so
+    the padded key is derived without canonicalizing again.
+    """
+    count, _, rest = key.partition(b", ")
+    if int(count[1:]) > vertex_count:
+        raise ValueError("cannot pad to fewer vertices")
+    return b"(%d, " % vertex_count + rest
+
+
 # -- spec'd graph operations ----------------------------------------------
 
 
@@ -374,7 +387,8 @@ def _enumerate_classes(n: int, k: int, limits: Limits) -> tuple[Multigraph, ...]
             result.setdefault(canonical_key(cand), cand)
         if len(result) > limits.max_classes:
             raise CapExceeded(
-                f"more than {limits.max_classes} classes with {n} edges")
+                f"more than {limits.max_classes} classes with {n} edges, over "
+                f"the max_classes cap")
     return tuple(g for _, g in sorted(result.items()))
 
 
@@ -391,12 +405,16 @@ def enumerate_Hn(n: int, k: int = 0, *,
 def _enumerate_with_vertices(n: int, p: int, limits: Limits
                              ) -> tuple[tuple[Multigraph, ...], Mapping[bytes, bytes]]:
     # A class on exactly p vertices is an n-edge class without isolated
-    # vertices that fits in p vertices, padded with isolated ones.
+    # vertices that fits in p vertices, padded with isolated ones; its key
+    # is derived from the unpadded class's.
     padded = []
     for h in _enumerate_classes(n, 0, limits):
         if h.vertex_count <= p:
+            source = canonical_key(h)
+            key = padded_key(source, p)
             g = h.padded(p)
-            padded.append((canonical_key(g), g, canonical_key(h)))
+            object.__setattr__(g, "_key", key)
+            padded.append((key, g, source))
     padded.sort(key=lambda item: item[0])
     return (tuple(g for _, g, _ in padded),
             MappingProxyType({key: source for key, _, source in padded}))

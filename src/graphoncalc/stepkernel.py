@@ -32,7 +32,7 @@ def _to_fraction(x) -> Fraction:
 class StepKernel:
     """Immutable symmetric step function, stored as a matrix of Fractions."""
 
-    __slots__ = ("parts", "matrix", "_intform")
+    __slots__ = ("parts", "matrix", "_intform", "_support")
 
     def __init__(self, matrix: Sequence[Sequence], *, _checked: bool = False):
         rows = tuple(tuple(_to_fraction(x) for x in row) for row in matrix)
@@ -47,6 +47,7 @@ class StepKernel:
         object.__setattr__(self, "parts", p)
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "_intform", None)
+        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepKernel is immutable")
@@ -81,6 +82,21 @@ class StepKernel:
                          for row in self.matrix)
             object.__setattr__(self, "_intform", (denom, ints))
         return self._intform
+
+    def support(self) -> tuple[int, int]:
+        """(row mask, cell mask) of the nonzero cells: bit a of the row mask
+        is set when row a (0-based) has a nonzero cell, bit a * parts + b of
+        the cell mask when cell (a, b) is nonzero.  Computed on first use."""
+        if self._support is None:
+            p = self.parts
+            rows = cells = 0
+            for a, row in enumerate(self.matrix):
+                for b, x in enumerate(row):
+                    if x:
+                        cells |= 1 << (a * p + b)
+                        rows |= 1 << a
+            object.__setattr__(self, "_support", (rows, cells))
+        return self._support
 
     # -- linear structure ---------------------------------------------------
 
@@ -190,8 +206,8 @@ def cut_norm(f: StepKernel, *, limits: Limits = DEFAULT_LIMITS) -> Fraction:
     """
     p = f.parts
     if p > limits.max_cut_parts:
-        raise CapExceeded(f"cut norm over {p} parts exceeds the cap "
-                          f"({limits.max_cut_parts})")
+        raise CapExceeded(f"cut norm over {p} parts, over the max_cut_parts "
+                          f"cap of {limits.max_cut_parts}")
     denom, rows = f.integerized()
     sums = [0] * p
     member = [False] * p

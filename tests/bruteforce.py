@@ -687,6 +687,19 @@ def random_signed_kernel(rng, parts: int, denominator: int = 8) -> StepKernel:
                          hi=denominator)
 
 
+def random_sparse_kernel(rng, parts: int, cells: int,
+                         denominator: int = 8) -> StepKernel:
+    """A symmetric kernel that is nonzero on at most `cells` cell pairs
+    (diagonal cells included), each a signed multiple of 1/denominator."""
+    pairs = [(a, b) for a in range(parts) for b in range(a, parts)]
+    rows = [[Fraction(0)] * parts for _ in range(parts)]
+    for a, b in rng.sample(pairs, min(cells, len(pairs))):
+        value = Fraction(rng.choice((-1, 1)) * rng.randint(1, denominator),
+                         denominator)
+        rows[a][b] = rows[b][a] = value
+    return StepKernel(rows)
+
+
 def random_multigraph(rng, max_vertices: int = 4, max_edges: int = 4,
                       ensure_edge: bool = True) -> Multigraph:
     nv = rng.randint(2, max_vertices)

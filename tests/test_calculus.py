@@ -17,7 +17,7 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
 
 from .bruteforce import (backtrack_density, brute_orbit_count,
                          permutation_gateaux, random_kernel, random_multigraph,
-                         random_signed_kernel)
+                         random_signed_kernel, random_sparse_kernel)
 
 
 def _mean(f: StepKernel) -> Fraction:
@@ -378,10 +378,7 @@ class TestOrbitSum:
         8 automorphisms; two equal directions leave 12 assignments in 2.
         A matching of three edges: 6 assignments in one orbit, though its
         48 automorphisms outnumber them (edge flips move no pair)."""
-        calls = []
-        real = calculus._evaluate
-        monkeypatch.setattr(calculus, "_evaluate", lambda *args, **kwargs: (
-            calls.append(1), real(*args, **kwargs))[1])
+        calls = _counting_evaluate(monkeypatch)
         C4 = QuantumGraph.from_graph(cycle_graph(4))
         rng = random.Random(16)
         base = random_signed_kernel(rng, 2, denominator=3)
@@ -395,6 +392,83 @@ class TestOrbitSum:
             value = gateaux_exact(F, request)
             assert len(calls) == evaluations
             assert value == permutation_gateaux(F, request)
+
+
+def _sparse_case(rng):
+    """A functional with multi-edge terms, a zero or sparse signed base, and
+    1-4 directions that are basis edges or single-cell signed kernels, on 1-4
+    parts each (so every refinement stays within 12 parts)."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        g = random_multigraph(rng, 4, 4)
+        if rng.random() < 0.5:  # double one of its pairs
+            (u, v), _ = rng.choice(g.pairs)
+            g = Multigraph(g.vertex_count,
+                           [(a, b, m) for (a, b), m in g.pairs] + [(u, v)])
+        terms.append((g, Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+    parts = rng.randint(1, 4)
+    base = (StepKernel.zero(parts) if rng.random() < 0.5
+            else random_sparse_kernel(rng, parts, rng.randint(1, 3), 3))
+    dirs = []
+    for _ in range(rng.randint(1, 4)):
+        p = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            a, b = sorted(rng.sample(range(1, p + 1), 2))
+            dirs.append(basis_edge(p, a, b))
+        else:
+            dirs.append(random_sparse_kernel(rng, p, 1, 3))
+    return QuantumGraph(terms), DerivativeRequest(base, tuple(dirs))
+
+
+class TestSupportFilter:
+    """Orbits whose support masks prove them zero are not evaluated."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_permutation_oracle(self, rng):
+        F, request = _sparse_case(rng)
+        assert gateaux_exact(F, request) == permutation_gateaux(F, request)
+
+    def test_filter_fires_and_lets_terms_through(self, monkeypatch):
+        """Over fixed sparse cases the filter skips orbits and evaluates
+        the others, one evaluation each, and every value matches the oracle."""
+        calls = _counting_evaluate(monkeypatch)
+        verdicts = []
+        real = calculus._vanishes
+        monkeypatch.setattr(calculus, "_vanishes", lambda *args: (
+            verdicts.append(real(*args)), verdicts[-1])[1])
+        rng = random.Random(18)
+        for _ in range(60):
+            F, request = _sparse_case(rng)
+            assert gateaux_exact(F, request) == permutation_gateaux(F, request)
+        assert 0 < verdicts.count(True) and 0 < verdicts.count(False)
+        assert len(calls) == verdicts.count(False)
+
+    def test_extract_T_C4_evaluations(self, monkeypatch):
+        calls = _counting_evaluate(monkeypatch)
+        vec = extract_T(QuantumGraph.from_graph(cycle_graph(4)), 4, 8)
+        assert len(calls) == 14
+        assert sum(v != 0 for v in vec.entries.values()) == 3
+
+    @pytest.mark.parametrize("graph,p,edges,evaluations,value", [
+        # only the pair mask fires: the two cells differ
+        (parallel_edges(2), 3, [(1, 2), (1, 3)], 0, 0),
+        # the vertex mask fires at the middle vertex: rows {1, 2} and {3, 4}
+        (path_graph(2), 4, [(1, 2), (3, 4)], 0, 0),
+        # both masks let it through, and it is nonzero
+        (path_graph(2), 4, [(1, 2), (2, 3)], 1, Fraction(1, 32)),
+        # sound but not complete: K3 cannot map into one edge
+        (complete_graph(3), 4, [(1, 2)] * 3, 1, 0),
+    ])
+    def test_evaluations_on_basis_edges(self, monkeypatch, graph, p, edges,
+                                        evaluations, value):
+        calls = _counting_evaluate(monkeypatch)
+        F = QuantumGraph.from_graph(graph)
+        request = DerivativeRequest(
+            StepKernel.zero(p), tuple(basis_edge(p, a, b) for a, b in edges))
+        assert gateaux_exact(F, request) == value
+        assert len(calls) == evaluations
+        assert permutation_gateaux(F, request) == value
 
 
 class TestSidorenkoStars:

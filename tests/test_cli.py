@@ -55,6 +55,12 @@ class TestExitCodes:
         assert run(["density", "--graph", k2, "--kernel", kern]) == 2
         assert "--max-parts" in capsys.readouterr().err
 
+    def test_index_tuple_cap_names_its_flag(self, capsys):
+        assert run(["--max-index-tuples", "10", "pi", "--oracle",
+                    "-n", "2", "-k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "max_index_tuples" in err and "--max-index-tuples" in err
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

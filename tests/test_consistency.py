@@ -86,7 +86,8 @@ class TestFiberOracle:
             pi_fiber_oracle(2, 2, 3)
 
     def test_tuple_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded,
+                           match="max_index_tuples cap of 50.*--max-index-tuples"):
             pi_fiber_oracle(2, 3, 4, limits=Limits(max_index_tuples=50))
 
 

@@ -11,6 +11,7 @@ from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          matching, parallel_edges, path_graph, simplify,
                          single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
+from graphoncalc.multigraph import padded_key
 
 from .bruteforce import (brute_canonical_key, brute_enumerate_Hn,
                          brute_enumerate_Hnp)
@@ -134,7 +135,7 @@ class TestEnumeration:
                        for v in range(g.vertex_count))
 
     def test_class_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="max_classes cap"):
             enumerate_Hn(4, limits=Limits(max_classes=5))
 
 
@@ -165,13 +166,31 @@ class TestEnumerateWithVertexCount:
                 == [canonical_key(g) for g in brute_enumerate_Hnp(n, p)])
 
     def test_class_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="max_classes cap"):
             enumerate_Hnp(4, 8, limits=Limits(max_classes=5))
 
     def test_many_isolated_vertices(self):
         classes = enumerate_Hnp(4, 15)
         assert len(classes) == len(enumerate_Hn(4)) == 23
         assert all(g.vertex_count == 15 for g in classes)
+
+    def test_derived_keys_match_fresh_keys(self):
+        """The classes carry keys derived from the unpadded ones; each equals
+        the key of a fresh copy, canonicalized anew."""
+        for n in range(6):
+            for p in range(2, 13):
+                for g in enumerate_Hnp(n, p):
+                    fresh = Multigraph(p, [(u, v, m) for (u, v), m in g.pairs])
+                    assert canonical_key(g) == canonical_key(fresh)
+
+    def test_padded_key_of_labelled_graphs(self):
+        for g in (Multigraph(3, [(0, 1, 2)], {1: 2}),
+                  Multigraph(2, [], {1: 1, 2: 0}), Multigraph(0)):
+            for count in range(g.vertex_count, g.vertex_count + 11):
+                assert padded_key(canonical_key(g), count) \
+                    == canonical_key(g.padded(count))
+        with pytest.raises(ValueError):
+            padded_key(canonical_key(single_edge()), 1)
 
     def test_strip_is_injective_on_result(self):
         for g in enumerate_Hnp(3, 5):

@@ -113,7 +113,7 @@ class TestNorms:
             assert cut_norm(f) <= l1_norm(f)
 
     def test_cut_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="max_cut_parts cap of 4"):
             cut_norm(StepKernel.zero(5), limits=Limits(max_cut_parts=4))
 
 
