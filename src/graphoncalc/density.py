@@ -87,11 +87,11 @@ class DecoratedDensity:
 def part_of(x: Fraction, p: int) -> int:
     """1-based part containing x; points on part boundaries are rejected."""
     x = _to_fraction(x)
+    if not (0 < x < 1):
+        raise ValueError(f"pin {x} is outside (0, 1)")
     scaled = x * p
     if scaled.denominator == 1:
         raise ValueError(f"pin {x} sits on a part boundary at {p} parts")
-    if not (0 < x < 1):
-        raise ValueError(f"pin {x} is outside (0, 1)")
     return math.ceil(scaled)
 
 
@@ -101,6 +101,9 @@ def _resolve_pins(g: Multigraph, pins: Pins, p: int) -> dict[int, int]:
     missing = [lab for lab in label_map if lab not in pins]
     if missing:
         raise ValueError(f"pins must cover all labels; missing {missing}")
+    extra = sorted(lab for lab in pins if lab not in label_map)
+    if extra:
+        raise ValueError(f"pins name labels the graph does not have: {extra}")
     return {label_map[lab]: part_of(_to_fraction(pins[lab]), p) - 1
             for lab in label_map}
 

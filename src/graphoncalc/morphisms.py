@@ -15,15 +15,19 @@ against `max_maps`.  All counts are exact Python integers.
 Labelled vertices are the first steps of that order, by label: the
 surjection search places each as an ordinary step whose one candidate is
 the g-vertex with the same label, so every check below applies to them as
-to any other vertex, and each counts as one search node.  The search cuts
-a branch by vertex coverage, by uncovered g-edge mass, and by a
-fiber-degree budget: at the end the h-degrees in each g-vertex's fiber sum
-to at least its g-degree, with total overshoot exactly 2(|E(h)| - |E(g)|),
-so a branch that already overshoots by more is cut (for equal edge counts:
-no fiber's degree sum exceeds its g-vertex's degree).
+to any other vertex, and each counts as one search node.  Every later step
+takes every g-vertex as a candidate.  A branch is cut when the g-vertices
+not yet covered outnumber the h-vertices left, when the g-edge mass not yet
+covered exceeds the h-edge mass left to place, or when the fibers overshoot
+their degree budget: every h-edge lands on a g-edge, so at a leaf the
+h-degrees in each g-vertex's fiber sum to at least its g-degree, with total
+overshoot exactly spare = 2(|E(h)| - |E(g)|).  A fiber's degree sum only
+grows, so a branch that already overshoots by more is cut (for equal edge
+counts: no fiber's degree sum exceeds its g-vertex's degree).
 
-The same budget, spare = 2(|E(h)| - |E(g)|), gives two tests that prove a
-pair is 0 before any search set-up, on degrees cached per graph:
+Before any per-call table is built, a pair is 0 when h has fewer vertices,
+distinct pairs or edges than g, or when it fails one of two degree tests
+that the same budget gives:
 - labelled degrees: sum over labels i of max(0, deg_h(L_i) - deg_g(L_i))
   is at most spare, since the fiber of g's L_i holds h's L_i, so its
   overshoot is at least that difference;
@@ -31,28 +35,29 @@ pair is 0 before any search set-up, on degrees cached per graph:
   order, h's top-i sum is at most g's top-i sum plus spare, for every i,
   since h's top i vertices land in at most i fibers, whose degree sums are
   their g-degrees plus overshoots (for equal edge counts: majorization).
-Most zero entries of a labelled surjection-count matrix fail one of them.
+A search that returns 0 still pays for its per-call tables, and most zero
+entries of a labelled surjection-count matrix fail one of these tests.
 
 The search also folds the source's twins: unlabelled vertices with the same
-multiplicity to every other vertex.  Swapping two twins is an automorphism
-of h that keeps a leaf's loads, fiber sizes and weight, so along each twin
-class, in search order, the search takes only nondecreasing images and
-weighs each leaf by t!/prod r!, where t is the class size and the r are the
-lengths of its runs of equal images: the number of leaves its twin swaps
-reach.  This is a lex-leader rule for the symmetry of swapping twins
-(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
-problems", KR 1996).
+multiplicity to every other vertex (`multigraph._twin_classes`).  Swapping
+two twins is an automorphism of h that keeps a leaf's loads, fiber sizes
+and weight, so a vertex with an earlier twin takes only the g-vertices from
+its previous twin's image on: along each twin class, in search order, the
+images are nondecreasing.  Each leaf is weighed by t!/prod r!, where t is
+the class size and the r are the lengths of its runs of equal images: the
+number of leaves its twin swaps reach.  The cuts hold at every leaf, so
+none of them cuts a leaf the fold keeps.  This is a lex-leader rule for the
+symmetry of swapping twins (Crawford, Ginsberg, Luks and Roy,
+"Symmetry-breaking predicates for search problems", KR 1996).
 
-What the search needs of a graph is computed once per graph, not once per
-(h, g) pair: `_search_plan(h)` holds the source's order, back edges,
-degrees, twins and edge count, and `_target(g)` the target's adjacency
-rows, degrees and edge count, both in bounded caches; `count_hom` reads its
-adjacency rows from `_target(g)` too.
+What the search needs of a graph, as a source or as a target, is one
+`_Record`, built the first time the graph is searched and kept on the graph
+(`Multigraph._record`), so a pair pays no set-up beyond its per-call
+tables; `count_hom` reads its adjacency rows from the target's record too.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -61,7 +66,7 @@ from typing import NamedTuple
 
 from .density import _cap_exceeded, _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import Multigraph, _adjacency, _twins
+from .multigraph import Multigraph, _adjacency, _twin_classes
 
 
 @lru_cache(maxsize=None)
@@ -75,100 +80,63 @@ def _check_label_counts(h: Multigraph, g: Multigraph) -> None:
         raise ValueError("label counts must agree (pad the smaller graph first)")
 
 
-def _degree_prefix(degree: Iterable[int]) -> tuple[int, ...]:
-    """Prefix sums of the degrees sorted in descending order."""
-    return tuple(accumulate(sorted(degree, reverse=True)))
+class _Record(NamedTuple):
+    """What the surjection search and `count_hom` need of a graph, as a
+    source or as a target.
 
-
-class _Source(NamedTuple):
-    """What the surjection search needs of its source graph h: the vertices
-    in search order, labelled ones first by label; per step, the h-edges
-    (neighbour, multiplicity) to the vertices placed before it, the h-edge
-    mass placed at that step or later (one more entry, 0, at the end), the
-    h-degree of the vertex placed and its previous twin (the member of its
-    twin class placed last before it, or -1); the twin classes with two or
-    more members, each in search order; |E(h)|; and the prefix sums of h's
-    degrees sorted in descending order.  The labelled vertices' degrees,
-    by label, are the first entries of `degree`.
-
-    The degree tests before the search compare `degree` and `prefix` with
-    the target's: a pair fails them only when no surjection exists, since
-    each fiber's degree sum is its g-vertex's degree plus an overshoot, and
-    the overshoots sum to 2(|E(h)| - |E(g)|).
-
-    Twins are unlabelled vertices with the same multiplicity to every other
-    vertex (`multigraph._twins`); labelled vertices are in no class."""
+    As a source: the vertices in search order, labelled ones first by
+    label; per step, the edges (neighbour, multiplicity) to the vertices
+    placed before it, the edge mass placed at that step or later (one more
+    entry, 0, at the end), the degree of the vertex placed and its previous
+    twin (the member of its twin class placed last before it, or -1); and
+    the twin classes with two or more members, each in search order.  As a
+    target: the integer adjacency rows (entry [a][b] is the a-b edge
+    multiplicity; shared, never written) and the degrees by vertex.  Both:
+    the labelled vertices' degrees by label, |E| and the prefix sums of the
+    degrees sorted in descending order."""
 
     order: tuple[int, ...]
     back: tuple[tuple[tuple[int, int], ...], ...]
     rest: tuple[int, ...]
-    degree: tuple[int, ...]
+    step_degree: tuple[int, ...]
     twin: tuple[int, ...]
     twin_classes: tuple[tuple[int, ...], ...]
-    edge_count: int
-    prefix: tuple[int, ...]
-
-
-@lru_cache(maxsize=1024)
-def _search_plan(h: Multigraph) -> _Source:
-    """The search record of h, built once per graph.
-
-    The order is the density core's plan for the distinct pairs of h with
-    the labelled vertices pinned, so they are its first steps, by label.
-    """
-    order, levels, _ = _make_plan(h.vertex_count,
-                                  tuple(pair for pair, _ in h.pairs),
-                                  tuple(v for _, v in h.labels))
-    back = tuple(tuple((w, h.pairs[idx][1]) for w, idx in ready)
-                 for ready in levels)
-    mass = [sum(m for _, m in edges) for edges in back]
-    degree = [0] * h.vertex_count
-    for (u, v), m in h.pairs:
-        degree[u] += m
-        degree[v] += m
-    adj = _adjacency(h)
-    classes: list[list[int]] = []
-    twin = [-1] * h.k
-    for v in order[h.k:]:
-        members = next((c for c in classes if _twins(adj, c[0], v)), None)
-        if members is None:
-            classes.append([v])
-            twin.append(-1)
-        else:
-            twin.append(members[-1])
-            members.append(v)
-    return _Source(
-        order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
-        tuple(degree[v] for v in order), tuple(twin),
-        tuple(tuple(c) for c in classes if len(c) > 1), h.edge_count,
-        _degree_prefix(degree))
-
-
-class _Target(NamedTuple):
-    """What the surjection search and `count_hom` need of their target
-    graph g: the integer adjacency rows (entry [a][b] is the a-b edge
-    multiplicity; shared, never written), the g-degrees and |E(g)|; for the
-    degree tests before the surjection search, the labelled vertices'
-    degrees by label and the prefix sums of the degrees sorted in
-    descending order."""
-
     rows: list[list[int]]
     degree: tuple[int, ...]
-    edge_count: int
     label_degree: tuple[int, ...]
+    edge_count: int
     prefix: tuple[int, ...]
 
 
-@lru_cache(maxsize=1024)
-def _target(g: Multigraph) -> _Target:
-    """The search record of g, built once per graph."""
+def _record(g: Multigraph) -> _Record:
+    """g's search record, built on first use and kept on g.
+
+    The order is the density core's plan for the distinct pairs of g with
+    the labelled vertices pinned, so they are its first steps, by label.
+    """
+    if g._record is not None:
+        return g._record
+    order, levels, _ = _make_plan(g.vertex_count,
+                                  tuple(pair for pair, _ in g.pairs),
+                                  tuple(v for _, v in g.labels))
+    back = tuple(tuple((w, g.pairs[idx][1]) for w, idx in ready)
+                 for ready in levels)
+    mass = [sum(m for _, m in edges) for edges in back]
     rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
     for (u, v), m in g.pairs:
         rows[u][v] = rows[v][u] = m
     degree = tuple(map(sum, rows))
-    return _Target(rows, degree, g.edge_count,
-                   tuple(degree[c] for _, c in g.labels),
-                   _degree_prefix(degree))
+    classes = _twin_classes(_adjacency(g), order[g.k:])
+    previous = {v: u for c in classes for u, v in zip(c, c[1:])}
+    record = _Record(
+        order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
+        tuple(degree[v] for v in order),
+        tuple(previous.get(v, -1) for v in order),
+        tuple(tuple(c) for c in classes if len(c) > 1), rows, degree,
+        tuple(degree[v] for _, v in g.labels), g.edge_count,
+        tuple(accumulate(sorted(degree, reverse=True))))
+    object.__setattr__(g, "_record", record)
+    return record
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -180,7 +148,7 @@ def count_hom(h: Multigraph, g: Multigraph, *,
     labelled vertices pinned to g's.  Only `max_maps` applies.
     """
     _check_label_counts(h, g)
-    rows = _target(g).rows
+    rows = _record(g).rows
     return _integrate(h.vertex_count, g.vertex_count,
                       [(u, v, rows, m) for (u, v), m in h.pairs],
                       {v: c for (_, v), (_, c) in zip(h.labels, g.labels)},
@@ -192,57 +160,19 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     """Sum over surjections psi: h ->> g of the number of edge maps, times
     prod_v (k)_(|psi^-1(v)|) when k is given.
 
-    All the pruning lives here, so every caller gets it.  Before the search:
-    h needs at least as many vertices, distinct pairs and edges as g, and
-    must pass two degree tests (below).  The search places h's vertices in
-    `_search_plan` order: the labelled ones first, each with the one
-    candidate its label allows, then the free ones, each with every
-    g-vertex as a candidate.  At every step a branch
-    is cut when the g-vertices not yet covered outnumber the h-vertices
-    left, when the g-edge mass not yet covered exceeds the h-edge mass left
-    to place, or when the fibers overshoot their degree budget.  With k
-    given, a fiber larger than k has weight 0, so no branch grows one.
-
-    The twin fold: a free vertex with an earlier twin takes only the
-    g-vertices from its previous twin's image on, so the images along each
-    twin class are nondecreasing in search order.  Every vertex map is a
-    twin swap of exactly one such map, and a swap keeps its weight, so a
-    leaf counts t!/prod r! times for each class (class size t, runs of
-    equal images r).  The cuts hold at every leaf, so none of them cuts a
-    leaf the fold keeps.
-
-    The degree budget: every h-edge lands on a g-edge, so at a leaf the
-    h-degrees in the fiber of a g-vertex c sum to at least deg_g(c) (each
-    g-copy at c is covered), and the overshoots over all c sum to exactly
-    2(|E(h)| - |E(g)|).  A fiber's degree sum only grows, so a branch whose
-    overshoot so far passes that budget is cut.  `room[c]` is how far c's
-    fiber is below deg_g(c), clipped at 0, and `spare` what is left of the
-    budget.  For |E(h)| = |E(g)| no fiber's degree sum may exceed its
-    g-vertex's degree.
-
-    The same budget gives the two degree tests, each a proof that the sum
-    is 0, run on cached tuples before any per-call table is built:
-    - labelled degrees: the fiber of g's L_i holds h's L_i, so its
-      overshoot is at least deg_h(L_i) - deg_g(L_i); the labels' g-vertices
-      are distinct, so these differences, clipped at 0, sum to at most
-      spare;
-    - prefix sums: h's i vertices of largest degree land in at most i
-      fibers, whose degree sums are at most g's i largest degrees plus
-      spare, so h's top-i degree sum is at most g's plus spare.
-    A search that returns 0 still pays for its per-call tables, and most
-    pairs of a labelled surjection-count matrix are 0; these tests refuse
-    most of those pairs.
-
-    h and g are each read through one cached record (`_search_plan`,
-    `_target`), so a pair pays no set-up beyond its per-call tables.
+    All the pruning lives here, so every caller gets it: the count tests,
+    the degree tests, the cuts and the twin fold of the module docstring.
+    With k given, a fiber larger than k has weight 0, so no branch grows
+    one.  `room[c]` is how far c's fiber is below deg_g(c), clipped at 0,
+    and `spare` what is left of the degree budget.
     """
     _check_label_counts(h, g)
     nv = g.vertex_count
-    src = _search_plan(h)
-    tgt = _target(g)
+    src = _record(h)
+    tgt = _record(g)
     spare = 2 * (src.edge_count - tgt.edge_count)
     if (h.vertex_count < nv or len(h.pairs) < len(g.pairs) or spare < 0
-            or sum(d - e for d, e in zip(src.degree, tgt.label_degree)
+            or sum(d - e for d, e in zip(src.label_degree, tgt.label_degree)
                    if d > e) > spare
             or any(a > b + spare for a, b in zip(src.prefix, tgt.prefix))):
         return 0
@@ -253,7 +183,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     coverage = [0] * nv
     room = list(tgt.degree)
     assign = [0] * h.vertex_count
-    order, back, rest, degree = src.order, src.back, src.rest, src.degree
+    order, back, rest, degree = src.order, src.back, src.rest, src.step_degree
     twin, twin_classes = src.twin, src.twin_classes
     depth = len(order)
     choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)

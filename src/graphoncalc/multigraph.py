@@ -26,7 +26,8 @@ Pair = tuple[int, int]
 class Multigraph:
     """An immutable loop-free multigraph with an optional partial labelling."""
 
-    __slots__ = ("vertex_count", "pairs", "labels", "_key", "_hash")
+    __slots__ = ("vertex_count", "pairs", "labels", "_key", "_hash",
+                 "_record")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]] = (),
@@ -68,6 +69,7 @@ class Multigraph:
         object.__setattr__(self, "labels", tuple(label_items))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_record", None)  # morphisms._record
 
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")
@@ -121,8 +123,8 @@ class Multigraph:
 
     def __hash__(self):
         # computed on first use, not in __init__: most graphs built during
-        # enumeration are never hashed, while the morphism search caches
-        # hash the same few graphs on every lookup
+        # enumeration are never hashed, while the cache of derivative orbits
+        # (`calculus._orbits`) hashes the same few graphs on every lookup
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(
                 (self.vertex_count, self.pairs, self.labels)))
@@ -196,14 +198,18 @@ def _twins(adj, u: int, v: int) -> bool:
             and all(w == v or b.get(w) == m for w, m in a.items()))
 
 
-def _twin_representatives(cell: list[int], adj) -> list[int]:
-    # swapping twins is an automorphism, so branching on one representative
-    # per twin class is enough
-    reps: list[int] = []
-    for u in cell:
-        if not any(_twins(adj, u, r) for r in reps):
-            reps.append(u)
-    return reps
+def _twin_classes(adj, verts: Sequence[int]) -> list[list[int]]:
+    """The twin classes of `verts` (`_twins`), in the order of their first
+    members, each in the order of `verts`."""
+    classes: list[list[int]] = []
+    for v in verts:
+        for members in classes:
+            if _twins(adj, members[0], v):
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def _encode_ordering(order: list[int], adj, label_of: dict[int, int]) -> tuple:
@@ -238,7 +244,9 @@ def _canon_component(verts: tuple[int, ...], adj, label_of: dict[int, int]) -> t
             order = sorted(verts, key=colours.__getitem__)
             return _encode_ordering(order, adj, label_of)
         best = None
-        for u in _twin_representatives(target, adj):
+        # swapping twins is an automorphism, so branching on one member
+        # per twin class is enough
+        for u, *_ in _twin_classes(adj, target):
             branched = {v: (colours[v], 0 if v == u else 1) for v in verts}
             enc = search(_normalize_colours(branched))
             if best is None or enc < best:
@@ -482,10 +490,7 @@ def matching(n: int) -> Multigraph:
 def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
     if g.k or h.k:
         raise ValueError("disjoint_union is for unlabelled graphs; use glue_product")
-    edges = [(u, v, m) for (u, v), m in g.pairs]
-    off = g.vertex_count
-    edges += [(u + off, v + off, m) for (u, v), m in h.pairs]
-    return Multigraph(off + h.vertex_count, edges)
+    return glue_product(g, h)
 
 
 def graph_signature(g: Multigraph) -> str:

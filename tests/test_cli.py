@@ -129,6 +129,14 @@ class TestSubcommands:
                     "--pins", pins]) == 0
         assert capsys.readouterr().out.startswith("2/3")
 
+    def test_density_refuses_pins_for_missing_labels(self, files, capsys):
+        g = files("g.json", graph_to_json(Multigraph(2, [(0, 1)], {1: 0})))
+        kern = files("kern.json", _kernel_json(parts=2))
+        pins = files("pins.json", {"1": "1/3", "7": "1/5"})
+        assert run(["density", "--graph", g, "--kernel", kern,
+                    "--pins", pins]) == 1
+        assert "[7]" in capsys.readouterr().err
+
     def test_cutnorm(self, files, capsys):
         kern = files("kern.json",
                      {"parts": 2, "matrix": [["1", "-1"], ["-1", "1"]]})

@@ -202,6 +202,31 @@ class TestLabelledDensity:
         with pytest.raises(ValueError):
             labelled_density(h, f, {})
 
+    @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(5, 4),
+                                   Fraction(-1, 2), Fraction(0), Fraction(1)])
+    def test_pin_outside_unit_interval_names_the_range(self, x):
+        # 0, 1 and 5/4 also sit on part boundaries at 4 parts
+        f = random_kernel(random.Random(9), 4)
+        h = Multigraph(2, [(0, 1)], {1: 0})
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
+            labelled_density(h, f, {1: x})
+
+    @pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(1, 2),
+                                   Fraction(3, 4)])
+    def test_pin_on_boundary_names_the_boundary(self, x):
+        f = random_kernel(random.Random(9), 4)
+        h = Multigraph(2, [(0, 1)], {1: 0})
+        with pytest.raises(ValueError, match="part boundary at 4 parts"):
+            labelled_density(h, f, {1: x})
+
+    def test_pin_for_a_missing_label_rejected(self):
+        f = random_kernel(random.Random(10), 4)
+        h = Multigraph(2, [(0, 1)], {1: 0})
+        with pytest.raises(ValueError, match=r"does not have: \[7\]"):
+            labelled_density(h, f, {1: Fraction(1, 3), 7: Fraction(1, 5)})
+        with pytest.raises(ValueError, match=r"does not have: \[1\]"):
+            labelled_density(path_graph(2), f, {1: Fraction(1, 3)})
+
     def test_pinned_product_identity(self):
         rng = random.Random(11)
         pins = {1: Fraction(1, 8), 2: Fraction(7, 16)}

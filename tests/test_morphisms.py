@@ -9,8 +9,10 @@ from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
                          canonical_key, complete_graph, count_aut, count_hom,
                          count_surj, enumerate_Hn, matching, parallel_edges,
                          path_graph, single_edge, star_graph, t_combinatorial)
+from graphoncalc import morphisms
 from graphoncalc.density import _plan
-from graphoncalc.morphisms import _search_plan, surjection_weight_sum
+from graphoncalc.morphisms import surjection_weight_sum
+from graphoncalc.multigraph import _enumerate_classes
 from graphoncalc.series import whitney_matrix
 
 from .bruteforce import (backtrack_hom, backtrack_surj,
@@ -300,11 +302,56 @@ class TestWorkCap:
 
 
 def test_surjection_search_keeps_its_plans_out_of_the_density_cache():
-    _search_plan.cache_clear()
     _plan.cache_clear()
-    whitney_matrix(3, 1, {1: Fraction(1, 3)})
-    assert _search_plan.cache_info().currsize > 0
+    W = whitney_matrix(3, 1, {1: Fraction(1, 3)})
+    assert all(g._record is not None for g in W.classes)
     assert _plan.cache_info().currsize == 0
+
+
+class TestRecord:
+    """The search record is built once per graph and kept on it."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        # each record build asks `_make_plan` for the graph's search order
+        made = []
+        make_plan = morphisms._make_plan
+
+        def counting(*args):
+            made.append(args)
+            return make_plan(*args)
+
+        monkeypatch.setattr(morphisms, "_make_plan", counting)
+        return made
+
+    def test_one_record_per_whitney_class(self, builds):
+        _enumerate_classes.cache_clear()  # fresh class objects, no records
+        pins = {1: Fraction(1, 3)}
+        classes = whitney_matrix(3, 1, pins).classes
+        assert len(builds) == len(classes)
+        assert all(g._record is not None for g in classes)
+        whitney_matrix(3, 1, pins)
+        assert len(builds) == len(classes)
+
+    def test_hom_and_surj_share_the_target_record(self, builds):
+        h = Multigraph(4, [(0, 1, 2), (1, 2), (2, 3)])
+        g = Multigraph(3, [(0, 1, 2), (1, 2)])
+        count_hom(h, g)
+        record = g._record
+        assert record is not None
+        assert count_surj(h, g) == backtrack_surj(h, g)
+        count_aut(g)
+        assert g._record is record
+        assert len(builds) == 2  # g's, then h's
+
+    def test_records_outlast_many_targets(self, builds):
+        h = parallel_edges(3)
+        targets = [Multigraph(2 + m % 3, [(0, 1, 1 + m // 3)])
+                   for m in range(1100)]
+        for _ in range(2):
+            for g in targets:
+                count_surj(h, g)
+        assert len(builds) == 1 + len(targets)
 
 
 class TestHomAtDefaultCaps:

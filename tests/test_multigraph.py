@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -94,6 +95,28 @@ class TestCanonicalKey:
         g = Multigraph(nv, edges)
         perm = data.draw(st.permutations(range(nv)))
         assert canonical_key(g) == canonical_key(g.permuted(list(perm)))
+
+    def test_keys_are_pinned_on_a_fixed_sample(self):
+        # the key's bytes fix every class listing's order and every stored
+        # class index, so a rewrite of the search must keep them: relabelled
+        # copies of the labelled classes and seeded random multigraphs, many
+        # with twins, hash to the digest recorded when this test was written
+        rng = random.Random(15)
+        digest = hashlib.sha256()
+        for n, k in [(3, 1), (4, 2), (3, 3), (5, 1)]:
+            for g in enumerate_Hn(n, k):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                digest.update(canonical_key(g.permuted(perm)))
+        for _ in range(500):
+            nv = rng.randint(2, 7)
+            k = rng.randint(0, min(2, nv))
+            edges = [(*rng.sample(range(nv), 2), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 9))]
+            labels = dict(zip(range(1, k + 1), rng.sample(range(nv), k)))
+            digest.update(canonical_key(Multigraph(nv, edges, labels)))
+        assert digest.hexdigest() == ("7119079ada4d560b9928eaad2924d397"
+                                      "9d0e30f320e53239d80f32d9c285e171")
 
 
 class TestEnumeration:
