@@ -101,8 +101,8 @@ def _resolve_pins(g: Multigraph, pins: Pins, p: int) -> dict[int, int]:
     missing = [lab for lab in label_map if lab not in pins]
     if missing:
         raise ValueError(f"pins must cover all labels; missing {missing}")
-    extra = sorted(lab for lab in pins if lab not in label_map)
-    if extra:
+    if len(pins) > len(label_map):  # every label is pinned, so some are extra
+        extra = sorted(set(pins) - set(label_map))
         raise ValueError(f"pins name labels the graph does not have: {extra}")
     return {label_map[lab]: part_of(_to_fraction(pins[lab]), p) - 1
             for lab in label_map}

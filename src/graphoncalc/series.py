@@ -26,7 +26,7 @@ from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .morphisms import count_surj
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
-                         graph_to_json, pad_labels, strip_isolated)
+                         graph_to_json, pad_labels, stripped_keys)
 from .stepkernel import StepKernel, basis_edge, _to_fraction
 
 
@@ -496,9 +496,13 @@ def surjection_matrix(n: int, p: int, *,
     |Surj(H, h-with-isolated-removed)| / p^|V(H)|."""
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
+    # each row class is a column class padded with isolated vertices; the
+    # column class itself is searched, so its search record serves both
+    by_key = {canonical_key(H): H for H in col_classes}
+    sources = stripped_keys(n, p, limits=limits)
     matrix = []
     for h in rows_classes:
-        stripped = strip_isolated(h)
+        stripped = by_key[sources[canonical_key(h)]]
         matrix.append([_count_entry(count_surj(H, stripped, limits=limits),
                                     p ** H.vertex_count)
                        for H in col_classes])
