@@ -50,14 +50,18 @@ none of them cuts a leaf the fold keeps.  This is a lex-leader rule for the
 symmetry of swapping twins (Crawford, Ginsberg, Luks and Roy,
 "Symmetry-breaking predicates for search problems", KR 1996).
 
-What the search needs of a graph, as a source or as a target, is one
-`_Record`, built the first time the graph is searched and kept on the graph
-(`Multigraph._record`), so a pair pays no set-up beyond its per-call
-tables; `count_hom` reads its adjacency rows from the target's record too.
+What the counts need of a graph is one `_Record`, built the first time the
+graph is counted and kept on the graph (`Multigraph._record`), so a pair
+pays no set-up beyond its per-call tables.  It holds what a target gives
+(adjacency rows, degrees) and what the degree tests read of both graphs;
+the source part, the search `_Plan`, is added the first time the graph is
+searched as a source, so `count_hom` and a pair the tests refuse build no
+plan.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -80,20 +84,15 @@ def _check_label_counts(h: Multigraph, g: Multigraph) -> None:
         raise ValueError("label counts must agree (pad the smaller graph first)")
 
 
-class _Record(NamedTuple):
-    """What the surjection search and `count_hom` need of a graph, as a
-    source or as a target.
+class _Plan(NamedTuple):
+    """What the surjection search needs of a graph as a source.
 
-    As a source: the vertices in search order, labelled ones first by
-    label; per step, the edges (neighbour, multiplicity) to the vertices
-    placed before it, the edge mass placed at that step or later (one more
-    entry, 0, at the end), the degree of the vertex placed and its previous
-    twin (the member of its twin class placed last before it, or -1); and
-    the twin classes with two or more members, each in search order.  As a
-    target: the integer adjacency rows (entry [a][b] is the a-b edge
-    multiplicity; shared, never written) and the degrees by vertex.  Both:
-    the labelled vertices' degrees by label, |E| and the prefix sums of the
-    degrees sorted in descending order."""
+    The vertices in search order, labelled ones first by label; per step,
+    the edges (neighbour, multiplicity) to the vertices placed before it,
+    the edge mass placed at that step or later (one more entry, 0, at the
+    end), the degree of the vertex placed and its previous twin (the member
+    of its twin class placed last before it, or -1); and the twin classes
+    with two or more members, each in search order."""
 
     order: tuple[int, ...]
     back: tuple[tuple[tuple[int, int], ...], ...]
@@ -101,42 +100,61 @@ class _Record(NamedTuple):
     step_degree: tuple[int, ...]
     twin: tuple[int, ...]
     twin_classes: tuple[tuple[int, ...], ...]
+
+
+@dataclass(slots=True)
+class _Record:
+    """What the morphism counts need of a graph: the integer adjacency rows
+    (entry [a][b] is the a-b edge multiplicity; shared, never written), the
+    degrees by vertex, the labelled vertices' degrees by label, |E| and the
+    prefix sums of the degrees sorted in descending order; and, once the
+    graph is searched as a source, its `_Plan`."""
+
     rows: list[list[int]]
     degree: tuple[int, ...]
     label_degree: tuple[int, ...]
     edge_count: int
     prefix: tuple[int, ...]
+    plan: _Plan | None = None
 
 
 def _record(g: Multigraph) -> _Record:
-    """g's search record, built on first use and kept on g.
+    """g's record, built on first use and kept on g, without its plan."""
+    if g._record is not None:
+        return g._record
+    rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for (u, v), m in g.pairs:
+        rows[u][v] = rows[v][u] = m
+    degree = tuple(map(sum, rows))
+    record = _Record(rows, degree, tuple(degree[v] for _, v in g.labels),
+                     g.edge_count,
+                     tuple(accumulate(sorted(degree, reverse=True))))
+    object.__setattr__(g, "_record", record)
+    return record
+
+
+def _source_plan(g: Multigraph, record: _Record) -> _Plan:
+    """g's plan, added to its record the first time g is a source.
 
     The order is the density core's plan for the distinct pairs of g with
     the labelled vertices pinned, so they are its first steps, by label.
     """
-    if g._record is not None:
-        return g._record
+    if record.plan is not None:
+        return record.plan
     order, levels, _ = _make_plan(g.vertex_count,
                                   tuple(pair for pair, _ in g.pairs),
                                   tuple(v for _, v in g.labels))
     back = tuple(tuple((w, g.pairs[idx][1]) for w, idx in ready)
                  for ready in levels)
     mass = [sum(m for _, m in edges) for edges in back]
-    rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
-    for (u, v), m in g.pairs:
-        rows[u][v] = rows[v][u] = m
-    degree = tuple(map(sum, rows))
     classes = _twin_classes(_adjacency(g), order[g.k:])
     previous = {v: u for c in classes for u, v in zip(c, c[1:])}
-    record = _Record(
+    record.plan = _Plan(
         order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
-        tuple(degree[v] for v in order),
+        tuple(record.degree[v] for v in order),
         tuple(previous.get(v, -1) for v in order),
-        tuple(tuple(c) for c in classes if len(c) > 1), rows, degree,
-        tuple(degree[v] for _, v in g.labels), g.edge_count,
-        tuple(accumulate(sorted(degree, reverse=True))))
-    object.__setattr__(g, "_record", record)
-    return record
+        tuple(tuple(c) for c in classes if len(c) > 1))
+    return record.plan
 
 
 def count_hom(h: Multigraph, g: Multigraph, *,
@@ -178,13 +196,13 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         return 0
     if nv == 0:
         return 1 if h.vertex_count == 0 else 0
+    plan = _source_plan(h, src)
     mult = tgt.rows
     load = [[0] * nv for _ in range(nv)]
     coverage = [0] * nv
     room = list(tgt.degree)
     assign = [0] * h.vertex_count
-    order, back, rest, degree = src.order, src.back, src.rest, src.step_degree
-    twin, twin_classes = src.twin, src.twin_classes
+    order, back, rest, degree, twin, twin_classes = plan
     depth = len(order)
     choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
     fiber_cap = h.vertex_count if k is None else k

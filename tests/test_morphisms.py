@@ -302,18 +302,32 @@ class TestWorkCap:
 
 
 def test_surjection_search_keeps_its_plans_out_of_the_density_cache():
+    _enumerate_classes.cache_clear()  # fresh class objects, no records
     _plan.cache_clear()
     W = whitney_matrix(3, 1, {1: Fraction(1, 3)})
-    assert all(g._record is not None for g in W.classes)
+    assert all(g._record.plan is not None for g in W.classes)
     assert _plan.cache_info().currsize == 0
 
 
 class TestRecord:
-    """The search record is built once per graph and kept on it."""
+    """The search record is built once per graph and kept on it; its plan is
+    added once, the first time the graph is searched as a source."""
 
     @pytest.fixture()
-    def builds(self, monkeypatch):
-        # each record build asks `_make_plan` for the graph's search order
+    def records(self, monkeypatch):
+        made = []
+        record = morphisms._Record
+
+        def counting(*args):
+            made.append(record(*args))
+            return made[-1]
+
+        monkeypatch.setattr(morphisms, "_Record", counting)
+        return made
+
+    @pytest.fixture()
+    def plans(self, monkeypatch):
+        # each plan build asks `_make_plan` for the graph's search order
         made = []
         make_plan = morphisms._make_plan
 
@@ -324,34 +338,42 @@ class TestRecord:
         monkeypatch.setattr(morphisms, "_make_plan", counting)
         return made
 
-    def test_one_record_per_whitney_class(self, builds):
+    def test_one_record_per_whitney_class(self, records, plans):
         _enumerate_classes.cache_clear()  # fresh class objects, no records
         pins = {1: Fraction(1, 3)}
         classes = whitney_matrix(3, 1, pins).classes
-        assert len(builds) == len(classes)
-        assert all(g._record is not None for g in classes)
+        assert len(records) == len(plans) == len(classes)
+        assert all(g._record.plan is not None for g in classes)
         whitney_matrix(3, 1, pins)
-        assert len(builds) == len(classes)
+        assert len(records) == len(plans) == len(classes)
 
-    def test_hom_and_surj_share_the_target_record(self, builds):
+    def test_hom_and_surj_share_the_target_record(self, records, plans):
         h = Multigraph(4, [(0, 1, 2), (1, 2), (2, 3)])
         g = Multigraph(3, [(0, 1, 2), (1, 2)])
         count_hom(h, g)
         record = g._record
-        assert record is not None
+        assert records == [record]
+        assert plans == []  # a homomorphism count reads the rows only
         assert count_surj(h, g) == backtrack_surj(h, g)
         count_aut(g)
         assert g._record is record
-        assert len(builds) == 2  # g's, then h's
+        assert len(records) == 2  # g's, then h's
+        assert len(plans) == 2  # h's, then g's, as the source of count_aut
 
-    def test_records_outlast_many_targets(self, builds):
+    def test_refused_pairs_build_no_plan(self, plans):
+        # the degree tests refuse the pair, so the source is never searched
+        assert count_surj(star_graph(3), path_graph(3)) == 0
+        assert plans == []
+
+    def test_records_outlast_many_targets(self, records, plans):
         h = parallel_edges(3)
         targets = [Multigraph(2 + m % 3, [(0, 1, 1 + m // 3)])
                    for m in range(1100)]
         for _ in range(2):
             for g in targets:
                 count_surj(h, g)
-        assert len(builds) == 1 + len(targets)
+        assert len(records) == 1 + len(targets)
+        assert len(plans) == 1
 
 
 class TestHomAtDefaultCaps:
