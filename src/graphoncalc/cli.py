@@ -60,8 +60,8 @@ def _limits(args) -> Limits:
     return Limits(max_parts=args.max_parts, max_vertices=args.max_vertices,
                   max_maps=args.max_maps,
                   max_index_tuples=args.max_index_tuples,
-                  max_classes=DEFAULT_LIMITS.max_classes,
-                  max_cut_parts=DEFAULT_LIMITS.max_cut_parts)
+                  max_classes=args.max_classes,
+                  max_cut_parts=args.max_cut_parts)
 
 
 def _emit(args, payload: dict, table: str):
@@ -84,6 +84,10 @@ def _build_parser() -> _Parser:
                         default=DEFAULT_LIMITS.max_maps)
     parser.add_argument("--max-index-tuples", type=int,
                         default=DEFAULT_LIMITS.max_index_tuples)
+    parser.add_argument("--max-classes", type=int,
+                        default=DEFAULT_LIMITS.max_classes)
+    parser.add_argument("--max-cut-parts", type=int,
+                        default=DEFAULT_LIMITS.max_cut_parts)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     cmd = sub.add_parser("enumerate", help="list isomorphism classes")

@@ -396,7 +396,7 @@ def _enumerate_classes(n: int, k: int, limits: Limits) -> tuple[Multigraph, ...]
         if len(result) > limits.max_classes:
             raise CapExceeded(
                 f"more than {limits.max_classes} classes with {n} edges, over "
-                f"the max_classes cap")
+                f"the max_classes cap (raise it with --max-classes)")
     return tuple(g for _, g in sorted(result.items()))
 
 

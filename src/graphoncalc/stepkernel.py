@@ -207,7 +207,8 @@ def cut_norm(f: StepKernel, *, limits: Limits = DEFAULT_LIMITS) -> Fraction:
     p = f.parts
     if p > limits.max_cut_parts:
         raise CapExceeded(f"cut norm over {p} parts, over the max_cut_parts "
-                          f"cap of {limits.max_cut_parts}")
+                          f"cap of {limits.max_cut_parts} "
+                          f"(raise it with --max-cut-parts)")
     denom, rows = f.integerized()
     sums = [0] * p
     member = [False] * p

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, perm
 
 from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
@@ -242,6 +243,7 @@ def inclusion_exclusion_surj(h: Multigraph, g: Multigraph) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def _surjection_count(c: int, m: int) -> int:
     """Number of surjective maps from a c-element set onto an m-element set."""
     return sum((-1) ** i * comb(m, i) * (m - i) ** c for i in range(m + 1))
@@ -261,6 +263,10 @@ def _backtrack_surjections(h: Multigraph, g: Multigraph, leaf_weight) -> int:
     for (u, v), _ in h.pairs:
         adj[u].add(v)
         adj[v].add(u)
+    linked: list[set[int]] = [set() for _ in range(g.vertex_count)]
+    for (a, b), _ in g.pairs:
+        linked[a].add(b)
+        linked[b].add(a)
     placed = set(pinned)
     order: list[int] = []
     free = [v for v in range(h.vertex_count) if v not in pinned]
@@ -285,26 +291,30 @@ def _backtrack_surjections(h: Multigraph, g: Multigraph, leaf_weight) -> int:
             return 0
 
     total = 0
+    depth = len(order)
 
     def rec(i: int, uncovered: int):
         nonlocal total
-        if uncovered > len(order) - i:
-            return
-        if i == len(order):
+        if i == depth:
             total += leaf_weight(assign)
             return
         v = order[i]
+        before = placed_before[i]
+        left = depth - i - 1
         for c in range(g.vertex_count):
-            if any(g.multiplicity(c, assign[w]) == 0 for w in placed_before[i]):
+            fresh = coverage[c] == 0
+            if uncovered - fresh > left or any(assign[w] not in linked[c]
+                                               for w in before):
                 continue
             assign[v] = c
-            fresh = coverage[c] == 0
             coverage[c] += 1
             rec(i + 1, uncovered - fresh)
             coverage[c] -= 1
             del assign[v]
 
-    rec(0, g.vertex_count - sum(1 for c in coverage if c))
+    uncovered = g.vertex_count - sum(1 for c in coverage if c)
+    if uncovered <= depth:
+        rec(0, uncovered)
     return total
 
 

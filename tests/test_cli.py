@@ -80,6 +80,24 @@ class TestCapFlags:
         assert run(["--max-maps", "10", "aut", "--graph", m4]) == 2
         assert "--max-maps" in capsys.readouterr().err
 
+    def test_max_classes(self, capsys):
+        # the 4-edge listing holds 23 classes
+        assert run(["--max-classes", "22", "enumerate", "-n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "max_classes" in err and "--max-classes" in err
+        assert run(["--max-classes", "23", "--format", "json", "enumerate",
+                    "-n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 23
+
+    def test_max_cut_parts(self, files, capsys):
+        kern = files("kern.json", {"parts": 3, "matrix": [
+            ["1", "-1", "0"], ["-1", "1", "0"], ["0", "0", "0"]]})
+        assert run(["--max-cut-parts", "2", "cutnorm", "--kernel", kern]) == 2
+        err = capsys.readouterr().err
+        assert "max_cut_parts" in err and "--max-cut-parts" in err
+        assert run(["--max-cut-parts", "3", "cutnorm", "--kernel", kern]) == 0
+        assert capsys.readouterr().out.strip() == "1/9 (0.1111111111)"
+
 
 class TestSubcommands:
     def test_enumerate_canonical_order(self, capsys):

@@ -238,6 +238,18 @@ class TestRandomPairsAgainstOracles:
                 for g in classes:
                     assert count_surj(h, g) == backtrack_surj(h, g)
 
+    def test_weighted_class_pairs(self):
+        # every pair of unlabelled 4-edge and labelled 3-edge classes, 17,457
+        # weighted sums in all: with k given, the capped-fiber tests refuse
+        # pairs that pass the count and degree tests
+        for classes in (enumerate_Hn(4), enumerate_Hn(3, 1),
+                        enumerate_Hn(3, 2)):
+            for h in classes:
+                for g in classes:
+                    for k in (1, 2, 3):
+                        assert surjection_weight_sum(h, g, k) == \
+                            backtrack_surjection_weight_sum(h, g, k)
+
 
 class TestWorkCap:
     def test_matching_within_default_caps(self):
@@ -292,6 +304,23 @@ class TestWorkCap:
         # any search, even one that stops at its first node
         assert backtrack_surj(h, g) == 0
         assert count_surj(h, g, limits=Limits(max_maps=0)) == 0
+
+    @pytest.mark.parametrize("h, g, k", [
+        # vertices: 3 source vertices in fibers of at most one over 2
+        (path_graph(2), single_edge(), 1),
+        # capped degree prefix: the 4-star's centre has degree 4, and its
+        # fiber of at most 2 vertices reaches degree 2 + 1 = 3
+        (Multigraph(7, [(0, 1), (1, 2), (3, 4), (5, 6)]), star_graph(4), 2),
+        # pair multiplicities: the triple g-pair receives one h-pair, of
+        # multiplicity at most 2
+        (Multigraph(4, [(0, 1, 2), (0, 2, 2), (1, 3)]),
+         Multigraph(3, [(0, 1, 3), (0, 2), (1, 2)]), 2),
+    ], ids=["vertices", "capped-degree-prefix", "pair-multiplicities"])
+    def test_capped_fiber_tests_refuse_before_the_search(self, h, g, k):
+        # each pair passes the count and degree tests and fails one
+        # capped-fiber test by one, so the search never starts
+        assert backtrack_surjection_weight_sum(h, g, k) == 0
+        assert surjection_weight_sum(h, g, k, limits=Limits(max_maps=0)) == 0
 
     def test_tiny_cap_raises(self):
         tiny = Limits(max_maps=10)
@@ -364,6 +393,14 @@ class TestRecord:
         # the degree tests refuse the pair, so the source is never searched
         assert count_surj(star_graph(3), path_graph(3)) == 0
         assert plans == []
+        # with k = 2 the capped-fiber tests refuse a pair the degree tests
+        # pass: the 4-star's centre needs a fiber of 3 vertices
+        h = Multigraph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+        g = star_graph(4)
+        assert surjection_weight_sum(h, g, 2) == 0
+        assert plans == []
+        assert count_surj(h, g) == backtrack_surj(h, g) > 0
+        assert len(plans) == 1
 
     def test_records_outlast_many_targets(self, records, plans):
         h = parallel_edges(3)
