@@ -326,7 +326,10 @@ def surjection_weight_sum(h: Multigraph, g: Multigraph, k: int, *,
 
     The weight is the falling factorial of k at the vertex-fiber size; it
     depends on the vertex map only, so edge maps contribute a plain count.
+    The capped-fiber tests read k as a fiber cap, so k must be at least 0.
     """
+    if k < 0:
+        raise ValueError("k must be at least 0")
     return _surjective_vertex_map_sum(h, g, k, limits=limits)
 
 

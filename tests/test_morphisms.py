@@ -103,6 +103,14 @@ class TestSurj:
         with pytest.raises(ValueError, match="label counts"):
             surjection_weight_sum(h, g, 2)
 
+    @pytest.mark.parametrize("h", [single_edge(), path_graph(2)])
+    def test_negative_fiber_cap_raises(self, h):
+        # path_graph(2) has more vertices than -1 times any target's, so a
+        # capped-fiber test would answer 0 where the falling factorial of a
+        # negative k is undefined
+        with pytest.raises(ValueError, match="k must be"):
+            surjection_weight_sum(h, single_edge(), -1)
+
     def test_dominated_by_hom(self):
         pool = [g for n in (1, 2, 3) for g in enumerate_Hn(n)]
         for h in pool:
