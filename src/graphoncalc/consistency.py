@@ -19,10 +19,10 @@ from functools import lru_cache
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import count_aut, count_surj, surjection_weight_sum
+from .morphisms import count_aut, surjection_table, surjection_total_order
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
-                         enumerate_Hnp, graph_signature, simplify,
-                         strip_isolated, stripped_keys)
+                         enumerate_Hnp, graph_signature, strip_isolated,
+                         stripped_keys)
 from .series import QuantumGraph
 
 
@@ -57,12 +57,12 @@ class ConsistencyMatrix:
 @lru_cache(maxsize=64)
 def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
     classes = enumerate_Hn(n, limits=limits)
+    table = surjection_table(classes, classes, k, limits=limits)
     entries: dict[tuple[bytes, bytes], int] = {}
-    for H in classes:
+    for H, row in zip(classes, table):
         aut = count_aut(H, limits=limits)
         hkey = canonical_key(H)
-        for G in classes:
-            total = surjection_weight_sum(H, G, k, limits=limits)
+        for G, total in zip(classes, row):
             quotient, remainder = divmod(total, aut)
             if remainder:
                 raise ArithmeticError(
@@ -136,13 +136,6 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
                              entries)
 
 
-def surjection_total_order(classes) -> list[Multigraph]:
-    """Total order refining 'a representative surjects onto': simple-edge
-    count, then vertex count, then canonical key."""
-    return sorted(classes, key=lambda g: (simplify(g).edge_count,
-                                          g.vertex_count, canonical_key(g)))
-
-
 @dataclass(frozen=True)
 class StructureCheck:
     name: str
@@ -184,9 +177,10 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
     classes = enumerate_Hn(n, limits=limits)
     ordered = surjection_total_order(classes)
     position = {canonical_key(g): i for i, g in enumerate(ordered)}
-    surjects = {(canonical_key(g), canonical_key(h)):
-                count_surj(h, g, limits=limits) > 0
-                for g in classes for h in classes}
+    counts = surjection_table(classes, classes, limits=limits)
+    surjects = {(canonical_key(g), canonical_key(h)): counts[i][j] > 0
+                for i, h in enumerate(classes)
+                for j, g in enumerate(classes)}
 
     for k in range(1, k_max + 1):
         matrix = pi_formula(n, k, limits=limits)

@@ -23,10 +23,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import linalg
 from .density import Pins, density, labelled_density, part_of
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import count_surj
+from .morphisms import surjection_table, surjection_total_order
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
-                         graph_to_json, pad_labels, stripped_keys)
+                         graph_signature, graph_to_json, pad_labels,
+                         stripped_keys)
 from .stepkernel import StepKernel, basis_edge, _to_fraction
 
 
@@ -493,19 +494,24 @@ def _count_entry(count: int, scale: int) -> Fraction:
 def surjection_matrix(n: int, p: int, *,
                       limits: Limits = DEFAULT_LIMITS):
     """Rows h in the p-vertex classes, columns H in the no-isolated classes:
-    |Surj(H, h-with-isolated-removed)| / p^|V(H)|."""
+    |Surj(H, h-with-isolated-removed)| / p^|V(H)|.
+
+    The counts are one `surjection_table` from the columns onto the row
+    classes with their isolated vertices removed, which are the column
+    classes with at most p vertices; so each count is searched once, and
+    only where H can surject.
+    """
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
     # each row class is a column class padded with isolated vertices; the
     # column class itself is searched, so its search record serves both
     by_key = {canonical_key(H): H for H in col_classes}
     sources = stripped_keys(n, p, limits=limits)
-    matrix = []
-    for h in rows_classes:
-        stripped = by_key[sources[canonical_key(h)]]
-        matrix.append([_count_entry(count_surj(H, stripped, limits=limits),
-                                    p ** H.vertex_count)
-                       for H in col_classes])
+    stripped = [by_key[sources[canonical_key(h)]] for h in rows_classes]
+    table = surjection_table(col_classes, stripped, limits=limits)
+    matrix = [[_count_entry(counts[r], p ** H.vertex_count)
+               for H, counts in zip(col_classes, table)]
+              for r in range(len(rows_classes))]
     return rows_classes, col_classes, matrix
 
 
@@ -582,7 +588,26 @@ class WhitneyMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def determinant(self) -> Fraction:
-        return linalg.determinant(self.rows)
+        """The product of the diagonal.
+
+        Re-indexing rows and columns alike by `surjection_total_order` keeps
+        the determinant, and makes the matrix lower triangular: H surjects
+        onto G only if G comes first.  Every entry above the diagonal is
+        checked to be 0 first.
+        """
+        position = {canonical_key(g): i for i, g in enumerate(self.classes)}
+        order = [position[canonical_key(g)]
+                 for g in surjection_total_order(self.classes)]
+        for a, i in enumerate(order):
+            row = self.rows[i]
+            for j in order[a + 1:]:
+                if row[j]:
+                    raise ArithmeticError(
+                        f"entry ({graph_signature(self.classes[i])}, "
+                        f"{graph_signature(self.classes[j])}) is {row[j]}, "
+                        f"above the diagonal of the surjection order; "
+                        f"morphism counting is inconsistent")
+        return math.prod((self.rows[i][i] for i in order), start=Fraction(1))
 
 
 def whitney_parts(n: int, pins: Pins) -> int:
@@ -606,20 +631,31 @@ def whitney_parts(n: int, pins: Pins) -> int:
 
 def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = None,
                    *, limits: Limits = DEFAULT_LIMITS) -> WhitneyMatrix:
+    """The Whitney matrix of the k-labelled n-edge classes at p parts.
+
+    p defaults to `whitney_parts`; an explicit p must be at least 1 and put
+    each pin strictly inside a part of its own, else ValueError.  The counts
+    are one `surjection_table` over the classes: only pairs that can be
+    quotients are searched, and with k >= 2 only one pair per orbit of the
+    label permutations.
+    """
     pins = {int(lab): _to_fraction(x) for lab, x in (pins or {}).items()}
     if sorted(pins) != list(range(1, k + 1)):
         raise ValueError("pins must cover labels 1..k exactly")
     if p is None:
         p = whitney_parts(n, pins)
+    else:
+        if p < 1:
+            raise ValueError(f"p must be at least 1, not {p}")
+        parts = [part_of(x, p) for x in pins.values()]
+        if len(set(parts)) < len(parts):
+            raise ValueError(f"pins must lie in distinct parts at {p} parts")
     classes = enumerate_Hn(n, k, limits=limits)
-    rows = []
-    for H in classes:
-        unlabelled = H.vertex_count - k
-        rows.append(tuple(_count_entry(count_surj(H, G, limits=limits),
-                                       p ** unlabelled)
-                          for G in classes))
-    return WhitneyMatrix(n, k, p, tuple(sorted(pins.items())), classes,
-                         tuple(rows))
+    table = surjection_table(classes, classes, limits=limits)
+    rows = tuple(tuple(_count_entry(count, p ** (H.vertex_count - k))
+                       for count in counts)
+                 for H, counts in zip(classes, table))
+    return WhitneyMatrix(n, k, p, tuple(sorted(pins.items())), classes, rows)
 
 
 # -- Lagrange interpolation ------------------------------------------------------

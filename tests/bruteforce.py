@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, lcm, perm
 
 from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
-                         canonical_key, consistency, enumerate_Hn,
+                         canonical_key, consistency, count_surj, enumerate_Hn,
                          enumerate_Hnp, graph_signature, linalg)
 from graphoncalc.consistency import (StructureCheck, StructureReport,
                                      surjection_total_order)
@@ -592,10 +592,11 @@ def recomputing_verify_structure(n: int, p_max: int | None = None,
                                  k_max: int = 3, *,
                                  limits=DEFAULT_LIMITS) -> StructureReport:
     """`consistency.verify_structure` as it was before it computed each fact
-    once: every surjection test once per k, every derivative vector once per
-    (p, k) step that reads it.  The scale matrices, surjection counts and
-    derivative vectors are read through the `consistency` module, so a test
-    that patches one of them there reaches both versions."""
+    once: every surjection test once per k and pair, by `count_surj`, every
+    derivative vector once per (p, k) step that reads it.  The scale
+    matrices and derivative vectors are read through the `consistency`
+    module, so a test that patches one of them there reaches both
+    versions."""
     if p_max is None:
         p_max = 2 * n
     checks: list[StructureCheck] = []
@@ -610,7 +611,7 @@ def recomputing_verify_structure(n: int, p_max: int | None = None,
         for g in classes:
             for h in classes:
                 value = matrix.value(g, h)
-                surjects = consistency.count_surj(h, g, limits=limits) > 0
+                surjects = count_surj(h, g, limits=limits) > 0
                 if value > 0 and not surjects:
                     ok = False
                     details.append("support violates the surjection condition")

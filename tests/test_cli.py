@@ -219,6 +219,19 @@ class TestSubcommands:
         assert "determinant" in capsys.readouterr().out
         assert run(["whitney", "-n", "1", "-k", "1", "--pins", "1/3"]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["-n", "1", "-p", "-3"], "at least 1"),
+        (["-n", "1", "-p", "0"], "at least 1"),
+        (["-n", "1", "-k", "1", "--pins", "1/2", "-p", "2"], "part boundary"),
+        (["-n", "1", "-k", "2", "--pins", "1/3", "2/5", "-p", "2"],
+         "distinct parts"),
+    ])
+    def test_whitney_refuses_bad_parts(self, capsys, argv, message):
+        assert run(["whitney", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input" in captured.err and message in captured.err
+
     def test_interpolate(self, files, capsys):
         a = files("a.json", _kernel_json("1/4"))
         b = files("b.json", _kernel_json("3/4"))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,13 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from graphoncalc import (DEFAULT_LIMITS, CapExceeded, Limits, Multigraph,
-                         canonical_key, complete_graph, count_aut, count_hom,
+from graphoncalc import (DEFAULT_LIMITS, WIDE_LIMITS, CapExceeded, Limits,
+                         Multigraph, canonical_key, complete_graph, count_aut, count_hom,
                          count_surj, enumerate_Hn, matching, parallel_edges,
                          path_graph, single_edge, star_graph, t_combinatorial)
 from graphoncalc import morphisms
 from graphoncalc.density import _plan
-from graphoncalc.morphisms import surjection_weight_sum
+from graphoncalc.consistency import _pi_formula_cached, pi_formula
+from graphoncalc.morphisms import surjection_table, surjection_weight_sum
 from graphoncalc.multigraph import _enumerate_classes
 from graphoncalc.series import whitney_matrix
 
@@ -249,14 +251,102 @@ class TestRandomPairsAgainstOracles:
     def test_weighted_class_pairs(self):
         # every pair of unlabelled 4-edge and labelled 3-edge classes, 17,457
         # weighted sums in all: with k given, the capped-fiber tests refuse
-        # pairs that pass the count and degree tests
+        # pairs that pass the count and degree tests; the surjection table
+        # skips the pairs that cannot be quotients, and with two labels
+        # searches one pair per label-swap orbit
         for classes in (enumerate_Hn(4), enumerate_Hn(3, 1),
                         enumerate_Hn(3, 2)):
-            for h in classes:
-                for g in classes:
-                    for k in (1, 2, 3):
-                        assert surjection_weight_sum(h, g, k) == \
-                            backtrack_surjection_weight_sum(h, g, k)
+            for k in (1, 2, 3):
+                table = surjection_table(classes, classes, k)
+                for h, row in zip(classes, table):
+                    for g, entry in zip(classes, row):
+                        expected = backtrack_surjection_weight_sum(h, g, k)
+                        assert surjection_weight_sum(h, g, k) == expected
+                        assert entry == expected
+
+
+class TestSurjectionTable:
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 3)])
+    def test_whitney_entries_match_the_oracle(self, n, k):
+        # one search per orbit of S_2, or of S_3, acting on the labels
+        pins = {1: Fraction(1, 3), 2: Fraction(2, 3), 3: Fraction(1, 2)}
+        W = whitney_matrix(n, k, {lab: pins[lab] for lab in range(1, k + 1)})
+        for H, row in zip(W.classes, W.rows):
+            scale = W.p ** (H.vertex_count - k)
+            for G, entry in zip(W.classes, row):
+                assert entry * scale == backtrack_surj(H, G)
+
+    def test_sources_other_than_targets(self):
+        # as surjection_matrix uses it: the targets are the sources with at
+        # most 4 vertices
+        sources = enumerate_Hn(3)
+        targets = [g for g in sources if g.vertex_count <= 4]
+        assert surjection_table(sources, targets) == [
+            [count_surj(h, g) for g in targets] for h in sources]
+
+    def test_list_not_closed_under_relabelling(self):
+        # no label orbits are used where a relabelled class is missing
+        classes = enumerate_Hn(2, 2)[::3]
+        assert surjection_table(classes, classes) == [
+            [count_surj(h, g) for g in classes] for h in classes]
+
+    @staticmethod
+    def _searched(monkeypatch) -> list:
+        searched = []
+        real = morphisms._surjective_vertex_map_sum
+
+        def counting(h, g, k, *, limits):
+            searched.append((h, g))
+            return real(h, g, k, limits=limits)
+        monkeypatch.setattr(morphisms, "_surjective_vertex_map_sum", counting)
+        return searched
+
+    def test_whitney_4_2_searches(self, monkeypatch):
+        # 78,961 pairs: 14,839 calls of the search, of which 8,215 pass the
+        # pre-search tests; the rows are those of the pairwise loop the table
+        # replaced, at the benchmark's pins and parts
+        searched = self._searched(monkeypatch)
+        W = whitney_matrix(4, 2, {1: Fraction(7, 31), 2: Fraction(29, 37)},
+                           p=13, limits=WIDE_LIMITS)
+        assert len(W.classes) == 281
+        assert len(searched) == 14_839
+        assert all(h.vertex_count > g.vertex_count
+                   or canonical_key(h) == canonical_key(g)
+                   for h, g in searched)
+        assert hashlib.sha256(repr(W.rows).encode()).hexdigest() == (
+            "d202270e524bf873483461f02007702e644de8d09a241d8a4353bb95a73c5417")
+
+    def test_pi_4_2_searches(self, monkeypatch):
+        # 23 classes: 23 automorphism counts and 219 of the 529 pairs
+        _pi_formula_cached.cache_clear()
+        searched = self._searched(monkeypatch)
+        pi_formula(4, 2)
+        assert len(searched) == 242
+        assert all(h.vertex_count > g.vertex_count
+                   or canonical_key(h) == canonical_key(g)
+                   for h, g in searched)
+
+    def test_a_proven_zero_needs_no_search(self):
+        # the 3-path and the 3-star have 4 vertices each, so neither is a
+        # quotient of the other; count_surj searches the pair (it passes the
+        # degree tests), and max_maps=0 refuses any search
+        h, g = path_graph(3), star_graph(3)
+        with pytest.raises(CapExceeded):
+            count_surj(h, g, limits=Limits(max_maps=0))
+        assert surjection_table([h], [g], limits=Limits(max_maps=0)) == [[0]]
+
+    @pytest.mark.parametrize("sources, targets, message", [
+        ([single_edge()], [path_graph(2)], "one edge count"),
+        ([single_edge(), single_edge()], [single_edge()], "distinct"),
+        ([single_edge()], [Multigraph(2, [(0, 1)], {1: 0})], "label counts"),
+    ])
+    def test_refused_lists(self, sources, targets, message):
+        with pytest.raises(ValueError, match=message):
+            surjection_table(sources, targets)
+
+    def test_negative_fiber_cap_raises(self):
+        with pytest.raises(ValueError):
+            surjection_table([single_edge()], [single_edge()], -1)
 
 
 class TestWorkCap:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from graphoncalc.density import part_of
 from graphoncalc.limits import CapExceeded, WIDE_LIMITS
 from graphoncalc.series import GeometricTail, PowerSeries
 
-from .bruteforce import random_kernel
+from .bruteforce import gauss_determinant, random_kernel
 
 
 def k3_power(m):
@@ -328,6 +329,41 @@ class TestWhitneyMatrix:
     def test_indistinct_pins_rejected(self):
         with pytest.raises(ValueError):
             whitney_matrix(1, 2, {1: Fraction(1, 3), 2: Fraction(1, 3)})
+
+    @pytest.mark.parametrize("n, k, pins, p, message", [
+        (1, 0, {}, -3, "at least 1"),
+        (1, 0, {}, 0, "at least 1"),
+        # 1/2 is the boundary between the two parts
+        (1, 1, {1: Fraction(1, 2)}, 2, "part boundary"),
+        # 1/3 and 2/5 both lie in the first of two parts
+        (1, 2, {1: Fraction(1, 3), 2: Fraction(2, 5)}, 2, "distinct parts"),
+    ])
+    def test_explicit_parts_checked(self, n, k, pins, p, message):
+        with pytest.raises(ValueError, match=message):
+            whitney_matrix(n, k, pins, p=p)
+
+    def test_explicit_parts_accepted(self):
+        pins = {1: Fraction(1, 3), 2: Fraction(2, 5)}
+        assert whitney_matrix(1, 2, pins, p=8).p == 8
+        assert whitney_matrix(1, 0, p=1).rows == ((Fraction(2),),)
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (3, 1), (3, 2), (2, 3)])
+    def test_determinant_matches_elimination(self, n, k):
+        pins = {1: Fraction(7, 31), 2: Fraction(29, 37), 3: Fraction(1, 2)}
+        W = whitney_matrix(n, k, {lab: pins[lab] for lab in range(1, k + 1)})
+        assert W.determinant() == gauss_determinant(W.rows) != 0
+
+    def test_determinant_refuses_an_entry_above_the_diagonal(self):
+        W = whitney_matrix(2, 0)
+        # the double edge surjects onto nothing else: put a count in its row
+        # under the 2-matching, which comes after it in the surjection order
+        i = W.classes.index(parallel_edges(2))
+        j = W.classes.index(matching(2))
+        rows = [list(row) for row in W.rows]
+        rows[i][j] = Fraction(1)
+        crooked = dataclasses.replace(W, rows=tuple(map(tuple, rows)))
+        with pytest.raises(ArithmeticError, match="2v 0-1x2.*4v 0-1 2-3"):
+            crooked.determinant()
 
     def test_matches_derivative_route(self):
         # independent cross-check: entries as derivative evaluations of the
