@@ -160,7 +160,9 @@ def _build_parser() -> _Parser:
     cmd.add_argument("-k", type=int, default=0)
     cmd.add_argument("--pins", nargs="*", default=[],
                      help="pin values for labels 1..k, e.g. 1/3 2/3")
-    cmd.add_argument("-p", type=int, help="parts (default: smallest valid)")
+    cmd.add_argument("-p", type=int,
+                     help="parts (default: smallest valid); at least 1, "
+                          "with each pin inside a part of its own")
 
     cmd = sub.add_parser("interpolate",
                          help="quantum graph hitting given values at given kernels")

@@ -76,7 +76,11 @@ def pi_formula(n: int, k: int, *,
                limits: Limits = DEFAULT_LIMITS) -> ConsistencyMatrix:
     """Closed form: entry (g, h) sums, over surjections of a representative H
     of h onto one G of g, the product over G-vertices of the falling
-    factorial of k at the fiber size, divided by |Aut(H)| (exactly)."""
+    factorial of k at the fiber size, divided by |Aut(H)| (exactly).
+
+    The sums are one `surjection_table` over the classes, so a pair is
+    searched only where G can be a quotient of H: H with more vertices and
+    at least as many distinct pairs as G, or H isomorphic to G."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return _pi_formula_cached(n, k, limits)

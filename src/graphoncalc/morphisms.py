@@ -414,7 +414,7 @@ def surjection_table(sources: Sequence[Multigraph],
     for i, h in enumerate(sources):
         smaller = by_size[:bisect_left(sizes, h.vertex_count)]
         same = index.get(source_keys[i])
-        for j in [*smaller, *([] if same is None else [same])]:
+        for j in smaller + ([] if same is None else [same]):
             g = targets[j]
             if len(g.pairs) > len(h.pairs) or (i, j) in done:
                 continue

@@ -499,7 +499,7 @@ def surjection_matrix(n: int, p: int, *,
     The counts are one `surjection_table` from the columns onto the row
     classes with their isolated vertices removed, which are the column
     classes with at most p vertices; so each count is searched once, and
-    only where H can surject.
+    only where that class can be a quotient of H.
     """
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
