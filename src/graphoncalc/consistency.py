@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import count_aut, surjection_table, surjection_total_order
+from .morphisms import surjection_table, surjection_total_order
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, strip_isolated,
                          stripped_keys)
@@ -59,8 +59,16 @@ def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
     classes = enumerate_Hn(n, limits=limits)
     table = surjection_table(classes, classes, k, limits=limits)
     entries: dict[tuple[bytes, bytes], int] = {}
-    for H, row in zip(classes, table):
-        aut = count_aut(H, limits=limits)
+    for i, (H, row) in enumerate(zip(classes, table)):
+        # the surjections of H onto itself are its automorphisms, each
+        # with every fiber of size 1 and so of weight k^|V(H)|
+        scale = k ** H.vertex_count
+        aut, remainder = divmod(row[i], scale)
+        if remainder or aut < 1:
+            raise ArithmeticError(
+                f"weighted surjection sum {row[i]} of a class onto itself is "
+                f"not a positive multiple of k^|V| = {scale}; morphism "
+                f"counting is inconsistent")
         hkey = canonical_key(H)
         for G, total in zip(classes, row):
             quotient, remainder = divmod(total, aut)
@@ -80,7 +88,9 @@ def pi_formula(n: int, k: int, *,
 
     The sums are one `surjection_table` over the classes, so a pair is
     searched only where G can be a quotient of H: H with more vertices and
-    at least as many distinct pairs as G, or H isomorphic to G."""
+    at least as many distinct pairs as G, or H isomorphic to G.  |Aut(H)| is
+    the sum of H onto itself divided by k^|V(H)|, so it needs no search of
+    its own; ArithmeticError if that or any entry does not divide exactly."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return _pi_formula_cached(n, k, limits)

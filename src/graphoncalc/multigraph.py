@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 
@@ -371,28 +371,72 @@ def pad_labels(g: Multigraph, k: int) -> Multigraph:
 # -- enumeration -----------------------------------------------------------
 
 
+def _children(h: Multigraph) -> Iterator[Multigraph]:
+    """The one-edge extensions of h that `_enumerate_classes` keeps.
+
+    One pair is added per pattern of h's twin classes (`_twin_classes`;
+    labelled vertices are classes of their own): a pair between two classes,
+    a pair inside a class, a pendant edge at a class, and the isolated edge.
+    A child is kept only if its added pair has the largest invariant
+    (multiplicity, sorted endpoint (degree, label)) among its pairs.
+    """
+    adj = _adjacency(h)
+    nv = h.vertex_count
+    label_of = {v: lab for lab, v in h.labels}
+    classes = sorted(
+        _twin_classes(adj, [v for v in range(nv) if v not in label_of])
+        + [[v] for v in label_of])
+    added = [(a[0], b[0]) for a, b in itertools.combinations(classes, 2)]
+    added += [(a[0], a[1]) for a in classes if len(a) > 1]
+    added += [(a[0], nv) for a in classes]
+    added.append((nv, nv + 1))
+
+    degree = [sum(adj[v].values()) for v in range(nv)] + [0, 0]
+    mult = dict(h.pairs)
+    edges = [(a, b, m) for (a, b), m in h.pairs]
+    for u, v in added:
+        def ends(a: int, b: int) -> list:
+            return sorted(((degree[a] + (a in (u, v)), label_of.get(a, 0)),
+                           (degree[b] + (b in (u, v)), label_of.get(b, 0))))
+
+        # the invariant compares multiplicities first; h's copy of the
+        # added pair has multiplicity top - 1, so it never wins
+        top = mult.get((u, v), 0) + 1
+        mine = ends(u, v)
+        if all(m < top or m == top and ends(a, b) <= mine
+               for (a, b), m in h.pairs):
+            yield Multigraph(max(nv, v + 1), [*edges, (u, v, 1)], h.label_map)
+
+
 @lru_cache(maxsize=64)
 def _enumerate_classes(n: int, k: int, limits: Limits) -> tuple[Multigraph, ...]:
+    """The n-edge classes, each grown from an (n-1)-edge class by one edge
+    and deduplicated by `canonical_key`.
+
+    Two rules (`_children`) keep this close to one canonicalization per
+    class (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998):
+    - twin-orbit augmentations: a parent gets one added pair per pattern of
+      its twin classes.  Swapping two twins is an automorphism of the
+      parent, so every pair of one pattern gives an isomorphic child;
+    - acceptance: a child is kept only if its added pair has the largest
+      invariant (multiplicity, sorted endpoint (degree, label)) among its
+      pairs.
+    Both are exact.  Take any n-edge class and remove one copy of a pair
+    with the largest invariant, dropping any unlabelled vertex left
+    isolated.  The result is a listed parent up to isomorphism; its
+    augmentation of the removed pair's pattern is generated, is isomorphic
+    to the class and adds a pair with that same invariant, so it is kept.
+    Hence the keys and their order are those of adding every pair to every
+    parent; only the vertex numbering of the kept representatives depends
+    on the rules.
+    """
     if n == 0:
         base = Multigraph(k, (), {lab: lab - 1 for lab in range(1, k + 1)})
         return (base,)
     result: dict[bytes, Multigraph] = {}
     for h in _enumerate_classes(n - 1, k, limits):
-        nv = h.vertex_count
-        candidates = []
-        for u, v in itertools.combinations(range(nv), 2):
-            candidates.append(Multigraph(
-                nv, [*((a, b, m) for (a, b), m in h.pairs), (u, v, 1)],
-                h.label_map))
-        for u in range(nv):
-            candidates.append(Multigraph(
-                nv + 1, [*((a, b, m) for (a, b), m in h.pairs), (u, nv, 1)],
-                h.label_map))
-        candidates.append(Multigraph(
-            nv + 2, [*((a, b, m) for (a, b), m in h.pairs), (nv, nv + 1, 1)],
-            h.label_map))
-        for cand in candidates:
-            result.setdefault(canonical_key(cand), cand)
+        for child in _children(h):
+            result.setdefault(canonical_key(child), child)
         if len(result) > limits.max_classes:
             raise CapExceeded(
                 f"more than {limits.max_classes} classes with {n} edges, over "

@@ -4,10 +4,12 @@ Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
 replaced them (the plain backtracking homomorphism and surjection
-searches, the dense Gaussian elimination, the plain backtracking density
+searches, the dense Gaussian elimination, the class listing that extends
+every class by every edge, the plain backtracking density
 core and the derivative summed over every slot assignment).  None of it
 shares code with the production implementations, except that the
-fixed-vertex-count enumeration dedups and orders by `canonical_key`, that
+fixed-vertex-count enumeration and the augment-everything class listing
+dedup and order by `canonical_key`, that
 `recomputing_verify_structure`, the structure check as it was before it
 computed each fact once, calls the library's own pieces, and that
 `permutation_gateaux` evaluates each assignment with the library's
@@ -85,6 +87,26 @@ def brute_enumerate_Hnp(n: int, p: int) -> tuple[Multigraph, ...]:
     for combo in itertools.combinations_with_replacement(pairs, n):
         g = Multigraph(p, combo)
         found.setdefault(canonical_key(g), g)
+    return tuple(g for _, g in sorted(found.items()))
+
+
+@lru_cache(maxsize=None)
+def augmenting_enumerate_Hn(n: int, k: int = 0) -> tuple[Multigraph, ...]:
+    """The library's earlier class listing: every one-edge extension of every
+    (n-1)-edge class (a pair of existing vertices, a pendant edge at each
+    vertex, the isolated edge), deduplicated and ordered by `canonical_key`."""
+    if n == 0:
+        return (Multigraph(k, (), {lab: lab - 1 for lab in range(1, k + 1)}),)
+    found: dict[bytes, Multigraph] = {}
+    for h in augmenting_enumerate_Hn(n - 1, k):
+        nv = h.vertex_count
+        edges = [(a, b, m) for (a, b), m in h.pairs]
+        added = [(u, v, nv) for u, v in itertools.combinations(range(nv), 2)]
+        added += [(u, nv, nv + 1) for u in range(nv)]
+        added.append((nv, nv + 1, nv + 2))
+        for u, v, vertex_count in added:
+            g = Multigraph(vertex_count, [*edges, (u, v, 1)], h.label_map)
+            found.setdefault(canonical_key(g), g)
     return tuple(g for _, g in sorted(found.items()))
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from graphoncalc import (ConsistencyMatrix, ConsistencyVector, Multigraph,
                          QuantumGraph, apply_constraint, canonical_key,
-                         count_surj, enumerate_Hn, enumerate_Hnp, extract_T,
-                         graph_signature, matching, pi_fiber_oracle,
+                         count_aut, count_surj, enumerate_Hn, enumerate_Hnp,
+                         extract_T, graph_signature, matching, pi_fiber_oracle,
                          pi_formula, strip_isolated, surjection_total_order,
                          verify_structure)
 from graphoncalc.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from graphoncalc import consistency, linalg, multigraph
+from graphoncalc.morphisms import surjection_weight_sum
 
 from .bruteforce import recomputing_verify_structure
 
@@ -23,6 +24,40 @@ class TestPiFormula:
         matrix = pi_formula(n, k)
         for g in matrix.classes:
             assert matrix.value(g, g) == k ** g.vertex_count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_diagonal_weight_is_aut_times_k_to_the_vertices(self, n, k):
+        """`pi_formula` reads |Aut(H)| off the weighted sum of H onto itself:
+        its surjections are the automorphisms, every fiber of size 1."""
+        for H in enumerate_Hn(n):
+            assert (surjection_weight_sum(H, H, k)
+                    == count_aut(H) * k ** H.vertex_count)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_entries_are_weight_sums_over_count_aut(self, n, k):
+        matrix = pi_formula(n, k)
+        for G in matrix.classes:
+            for H in matrix.classes:
+                assert (matrix.value(G, H) * count_aut(H)
+                        == surjection_weight_sum(H, G, k))
+
+    def test_crooked_diagonal_raises(self, monkeypatch):
+        table = consistency.surjection_table
+
+        def crooked(sources, targets, k=None, *, limits=DEFAULT_LIMITS):
+            rows = table(sources, targets, k, limits=limits)
+            rows[0][0] += 1
+            return rows
+
+        monkeypatch.setattr(consistency, "surjection_table", crooked)
+        consistency._pi_formula_cached.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="positive multiple"):
+                pi_formula(2, 2)
+        finally:
+            consistency._pi_formula_cached.cache_clear()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

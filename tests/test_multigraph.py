@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          count_aut, disjoint_union, enumerate_Hn, enumerate_Hnp,
                          glue_product, graph_from_json, graph_to_json,
-                         matching, parallel_edges, path_graph, simplify,
-                         single_edge, star_graph, strip_isolated)
+                         matching, multigraph, parallel_edges, path_graph,
+                         simplify, single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
 from graphoncalc.multigraph import padded_key
 
-from .bruteforce import (brute_canonical_key, brute_enumerate_Hn,
-                         brute_enumerate_Hnp)
+from .bruteforce import (augmenting_enumerate_Hn, brute_canonical_key,
+                         brute_enumerate_Hn, brute_enumerate_Hnp)
 
 
 class TestConstruction:
@@ -160,6 +160,37 @@ class TestEnumeration:
     def test_class_cap(self):
         with pytest.raises(CapExceeded, match="max_classes cap"):
             enumerate_Hn(4, limits=Limits(max_classes=5))
+
+    @pytest.mark.parametrize("n, k", [
+        *((n, 0) for n in range(6)), *((n, k) for k in (1, 2) for n in range(5)),
+        *((n, 3) for n in range(4)), *((n, 4) for n in range(3))])
+    def test_matches_augmenting_oracle(self, n, k):
+        """Twin-orbit augmentations with the largest-invariant acceptance
+        rule list the keys of extending every class by every edge, in the
+        same order."""
+        assert ([canonical_key(g) for g in enumerate_Hn(n, k)]
+                == [canonical_key(g) for g in augmenting_enumerate_Hn(n, k)])
+
+    @pytest.mark.parametrize("n, k, computed", [(5, 0, 143), (4, 2, 405)])
+    def test_keys_computed(self, monkeypatch, n, k, computed):
+        """Regression pin on the work: canonical forms computed (not read
+        from a graph's cached key) by a fresh listing of every level up to n.
+        The augment-everything listing computes 468 and 1,246."""
+        counted = []
+        key = multigraph.canonical_key
+
+        def counting_key(g):
+            if g._key is None:
+                counted.append(g)
+            return key(g)
+
+        monkeypatch.setattr(multigraph, "canonical_key", counting_key)
+        multigraph._enumerate_classes.cache_clear()
+        try:
+            enumerate_Hn(n, k)
+        finally:
+            multigraph._enumerate_classes.cache_clear()
+        assert len(counted) == computed
 
 
 class TestEnumerateWithVertexCount:
