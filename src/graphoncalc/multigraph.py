@@ -372,14 +372,9 @@ def pad_labels(g: Multigraph, k: int) -> Multigraph:
 
 
 def _children(h: Multigraph) -> Iterator[Multigraph]:
-    """The one-edge extensions of h that `_enumerate_classes` keeps.
-
-    One pair is added per pattern of h's twin classes (`_twin_classes`;
-    labelled vertices are classes of their own): a pair between two classes,
-    a pair inside a class, a pendant edge at a class, and the isolated edge.
-    A child is kept only if its added pair has the largest invariant
-    (multiplicity, sorted endpoint (degree, label)) among its pairs.
-    """
+    """The one-edge extensions of h that `_enumerate_classes` keeps: one per
+    twin-class pattern (`_twin_classes`; labelled vertices are classes of
+    their own), each only if its added pair has the largest invariant."""
     adj = _adjacency(h)
     nv = h.vertex_count
     label_of = {v: lab for lab, v in h.labels}
