@@ -19,6 +19,16 @@ determine the multiplicities, these classes are exactly the orbits, however
 large Aut(H) is.  At the zero kernel only terms with as many edges as
 directions are evaluated: a copy left on the base zeroes its term.
 
+The orbit table of a term depends only on H and the number of directions
+in each class, and `gateaux_exact` numbers the direction classes by
+decreasing count, so the counts after the base's are a partition.  The
+numbering is free: renaming classes maps labellings to labellings and
+orbits to orbits, with the same weights and densities.  So a table serves
+every request whose counts form the same partition, whatever the order of
+the directions (in `extract_T`, whatever the vertex numbering of the class
+representative that gives them), and it is kept on H (`Multigraph._tables`,
+by counts) for as long as H lives, not in a bounded cache.
+
 Most labellings on sparse kernels, such as the basis edges `extract_T`
 uses, have density 0, and their kernels' supports show it before any
 search (node and arc consistency: Mackworth, "Consistency in networks of
@@ -41,7 +51,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .density import _evaluate, density
@@ -97,11 +106,15 @@ def _labellings(mults: Sequence[int],
     return out
 
 
-@lru_cache(maxsize=4096)
 def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """One labelling (see `_labellings`) per orbit under Aut(H), as the
     factors (u, v, kernel class, exponent) it evaluates (class 0 is the
     base), with the number of slot assignments in its orbit.
+
+    Any counts are accepted.  `gateaux_exact` asks only for a base count
+    followed by a partition, and keeps each table on H
+    (`Multigraph._tables`, by counts), so H builds one table per such key
+    in its lifetime.
 
     The orbits are the `canonical_key` classes of H with each pair's
     multiplicity replaced by a code for (multiplicity, labelling row),
@@ -174,7 +187,8 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     inside the unit-interval kernels); by default the closed formula is used
     as the multilinear extension without that check.
 
-    One density evaluation per orbit of labellings (`_orbits`), except
+    One density evaluation per orbit of labellings (`_orbits`, with the
+    direction classes numbered by decreasing count), except
     where the kernels' support masks prove the orbit's density 0
     (`_vanishes`): a vertex whose factors' row masks AND to 0, or a pair
     whose factors' cell masks AND to 0.
@@ -191,11 +205,13 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
             if not is_admissible(base, d):
                 raise ValueError("direction is not admissible at the base kernel")
 
-    # equal kernels share a class; class 0 is the base's
+    # equal kernels share a class; class 0 is the base's, the others go by
+    # decreasing count, so the counts after the first are a partition
     ids: dict[tuple, int] = {}
     of = [ids.setdefault(kernel.integerized(), len(ids)) for kernel in refined]
-    kernels = [refined[of.index(c)] for c in range(len(ids))]
-    counts = tuple(of[1:].count(c) for c in range(len(ids)))
+    classes = [0, *sorted(range(1, len(ids)), key=lambda c: -of[1:].count(c))]
+    kernels = [refined[of.index(c)] for c in classes]
+    counts = tuple(of[1:].count(c) for c in classes)
     supports = [kernel.support() for kernel in kernels]
 
     # on the zero kernel, a copy left on the base zeroes its term
@@ -204,7 +220,11 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     for H, coeff in F.terms():
         if m > H.edge_count or (zero_base and m < H.edge_count):
             continue
-        for factors, weight in _orbits(H, counts):
+        if H._tables is None:
+            object.__setattr__(H, "_tables", {})
+        if counts not in H._tables:
+            H._tables[counts] = _orbits(H, counts)
+        for factors, weight in H._tables[counts]:
             if _vanishes(H.vertex_count, factors, supports):
                 continue
             total += coeff * weight * _evaluate(

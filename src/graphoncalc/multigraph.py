@@ -26,8 +26,11 @@ Pair = tuple[int, int]
 class Multigraph:
     """An immutable loop-free multigraph with an optional partial labelling."""
 
-    __slots__ = ("vertex_count", "pairs", "labels", "_key", "_hash",
-                 "_record")
+    # `_key`, `_record` and `_tables` are filled on first use and kept: the
+    # canonical key, `morphisms._record` and the derivative orbit tables of
+    # `calculus._orbits` by direction counts
+    __slots__ = ("vertex_count", "pairs", "labels", "_key", "_record",
+                 "_tables")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]] = (),
@@ -68,8 +71,8 @@ class Multigraph:
                 raise ValueError("label indices must be exactly 1..k")
         object.__setattr__(self, "labels", tuple(label_items))
         object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_record", None)  # morphisms._record
+        object.__setattr__(self, "_record", None)
+        object.__setattr__(self, "_tables", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")
@@ -122,13 +125,7 @@ class Multigraph:
                 and self.labels == other.labels)
 
     def __hash__(self):
-        # computed on first use, not in __init__: most graphs built during
-        # enumeration are never hashed, while the cache of derivative orbits
-        # (`calculus._orbits`) hashes the same few graphs on every lookup
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.vertex_count, self.pairs, self.labels)))
-        return self._hash
+        return hash((self.vertex_count, self.pairs, self.labels))
 
     def __repr__(self):
         parts = [str(self.vertex_count)]

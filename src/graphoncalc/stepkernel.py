@@ -238,7 +238,9 @@ def tensor_product(f: StepKernel, g: StepKernel, *,
     identification of part pairs; densities multiply exactly."""
     p = f.parts * g.parts
     if p > limits.max_parts * limits.max_parts:
-        raise CapExceeded(f"tensor product would have {p} parts")
+        raise CapExceeded(f"tensor product would have {p} parts, over the "
+                          f"square of the max_parts cap of {limits.max_parts} "
+                          f"(raise it with --max-parts)")
     rows = [[f.matrix[i // g.parts][j // g.parts] * g.matrix[i % g.parts][j % g.parts]
              for j in range(p)] for i in range(p)]
     return StepKernel(rows, _checked=True)

@@ -10,10 +10,10 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, calculus, canonical_key,
                          complete_graph, count_surj, cycle_graph, density,
                          enumerate_Hn, enumerate_Hnp, extract_T, gamma,
-                         gateaux_exact, gateaux_numeric, matching,
+                         gateaux_exact, gateaux_numeric, matching, multigraph,
                          parallel_edges, path_graph, permute_parts,
                          sidorenko_star_check, single_edge, star_graph,
-                         strip_isolated)
+                         strip_isolated, verify_structure)
 
 from .bruteforce import (backtrack_density, brute_orbit_count,
                          permutation_gateaux, random_kernel, random_multigraph,
@@ -324,13 +324,60 @@ def _counting_evaluate(monkeypatch) -> list:
     return calls
 
 
+def _counting_tables(monkeypatch) -> list:
+    """Record the counts of every orbit table `calculus` builds."""
+    built = []
+    real = calculus._orbits
+    monkeypatch.setattr(calculus, "_orbits", lambda H, counts: (
+        built.append(counts), real(H, counts))[1])
+    return built
+
+
+class TestOrbitTables:
+    """Each class builds one orbit table per partition of the direction
+    count, keeps it, and reads it back for every later request."""
+
+    def test_verify_structure_builds_one_table_per_partition(self,
+                                                              monkeypatch):
+        multigraph._enumerate_classes.cache_clear()
+        built = _counting_tables(monkeypatch)
+        assert verify_structure(4).passed
+        # 23 classes of 4 edges, 5 partitions of 4
+        assert len(built) == 115
+        assert set(built) == {(0, 4), (0, 3, 1), (0, 2, 2), (0, 2, 1, 1),
+                              (0, 1, 1, 1, 1)}
+
+    def test_reversed_directions_share_the_table(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        rng = random.Random(18)
+        base = random_signed_kernel(rng, 2, denominator=3)
+        d = [random_signed_kernel(rng, 2, denominator=3) for _ in range(2)]
+        F = QuantumGraph.from_graph(cycle_graph(4))
+        dirs = (d[0], d[0], d[1])
+        value = gateaux_exact(F, DerivativeRequest(base, dirs))
+        assert built == [(0, 2, 1)]
+        assert gateaux_exact(F, DerivativeRequest(base, dirs[::-1])) == value
+        assert built == [(0, 2, 1)]
+
+    def test_second_extract_T_builds_no_table(self, monkeypatch):
+        built = _counting_tables(monkeypatch)
+        F = QuantumGraph.from_graph(Multigraph(4, [(0, 1, 2), (1, 2), (2, 3)]))
+        first = extract_T(F, 4, 6)
+        tables = len(built)
+        assert tables > 0
+        assert extract_T(F, 4, 6) == first
+        assert len(built) == tables
+
+
 class TestOrbitSum:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_orbits_match_brute_count(self, n):
         """The canonical-key classes are the Aut(H)-orbits, for the direction
-        class counts that `extract_T` produces and one of order below n; the
-        weights count every slot assignment once."""
+        class counts of `extract_T`'s basis tuples in the order of their
+        edges, the partitions `gateaux_exact` sorts them into, and one of
+        order below n; the weights count every slot assignment once."""
         patterns = {(0, *(m for _, m in h.pairs)) for h in enumerate_Hn(n)}
+        patterns |= {(0, *sorted(c[1:], reverse=True)) for c in patterns}
         if n >= 2:
             patterns.add((n - 2, 1))
         for H in enumerate_Hn(n):

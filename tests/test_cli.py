@@ -55,6 +55,13 @@ class TestExitCodes:
         assert run(["density", "--graph", k2, "--kernel", kern]) == 2
         assert "--max-parts" in capsys.readouterr().err
 
+    def test_tensor_parts_cap_names_its_flag(self, files, capsys):
+        kern = files("kern.json", _kernel_json(parts=4))
+        assert run(["--max-parts", "3", "tensor", "--left", kern,
+                    "--right", kern]) == 2
+        err = capsys.readouterr().err
+        assert "max_parts" in err and "--max-parts" in err
+
     def test_index_tuple_cap_names_its_flag(self, capsys):
         assert run(["--max-index-tuples", "10", "pi", "--oracle",
                     "-n", "2", "-k", "2"]) == 2
