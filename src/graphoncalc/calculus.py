@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -282,7 +282,7 @@ class ConsistencyVector:
 
     n: int
     p: int
-    classes: tuple[Multigraph, ...]
+    classes: tuple[Multigraph, ...] = field(compare=False)
     entries: dict[bytes, Fraction]
 
     def value(self, h: Multigraph) -> Fraction:
@@ -290,11 +290,6 @@ class ConsistencyVector:
 
     def as_items(self) -> list[tuple[Multigraph, Fraction]]:
         return [(h, self.entries[canonical_key(h)]) for h in self.classes]
-
-    def __eq__(self, other):
-        if not isinstance(other, ConsistencyVector):
-            return NotImplemented
-        return (self.n, self.p, self.entries) == (other.n, other.p, other.entries)
 
 
 def extract_T(F: QuantumGraph, n: int, p: int, *,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import (DerivativeRequest, Limits, count_aut, count_hom, count_surj,
@@ -20,7 +21,7 @@ from . import (DerivativeRequest, Limits, count_aut, count_hom, count_surj,
                pi_fiber_oracle, pi_formula, pins_from_json, quantum_from_json,
                quantum_to_json, sidorenko_star_check, surjection_total_order,
                tensor_product, verify_structure, whitney_matrix)
-from .limits import DEFAULT_LIMITS, CapExceeded
+from .limits import CapExceeded, flag
 from .series import PowerSeries, eval_series
 from .stepkernel import StepKernel
 
@@ -57,11 +58,8 @@ def _load_kernel(path: str) -> StepKernel:
 
 
 def _limits(args) -> Limits:
-    return Limits(max_parts=args.max_parts, max_vertices=args.max_vertices,
-                  max_maps=args.max_maps,
-                  max_index_tuples=args.max_index_tuples,
-                  max_classes=args.max_classes,
-                  max_cut_parts=args.max_cut_parts)
+    return Limits(**{cap.name: getattr(args, cap.name)
+                     for cap in fields(Limits)})
 
 
 def _emit(args, payload: dict, table: str):
@@ -76,18 +74,8 @@ def _build_parser() -> _Parser:
                      description="exact densities, derivatives, and "
                                  "consistency checks for multigraphs")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--max-parts", type=int,
-                        default=DEFAULT_LIMITS.max_parts)
-    parser.add_argument("--max-vertices", type=int,
-                        default=DEFAULT_LIMITS.max_vertices)
-    parser.add_argument("--max-maps", type=int,
-                        default=DEFAULT_LIMITS.max_maps)
-    parser.add_argument("--max-index-tuples", type=int,
-                        default=DEFAULT_LIMITS.max_index_tuples)
-    parser.add_argument("--max-classes", type=int,
-                        default=DEFAULT_LIMITS.max_classes)
-    parser.add_argument("--max-cut-parts", type=int,
-                        default=DEFAULT_LIMITS.max_cut_parts)
+    for cap in fields(Limits):
+        parser.add_argument(flag(cap.name), type=int, default=cap.default)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     cmd = sub.add_parser("enumerate", help="list isomorphism classes")

@@ -12,13 +12,13 @@ check each other.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .morphisms import surjection_table, surjection_total_order
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, strip_isolated,
@@ -34,7 +34,7 @@ class ConsistencyMatrix:
 
     n: int
     k: int
-    classes: tuple[Multigraph, ...]
+    classes: tuple[Multigraph, ...] = field(compare=False)
     entries: dict[tuple[bytes, bytes], int]
 
     def value(self, g: Multigraph, h: Multigraph) -> int:
@@ -47,11 +47,6 @@ class ConsistencyMatrix:
         order = order or self.classes
         keys = [canonical_key(g) for g in order]
         return [[self.entries[(gk, hk)] for hk in keys] for gk in keys]
-
-    def __eq__(self, other):
-        if not isinstance(other, ConsistencyMatrix):
-            return NotImplemented
-        return (self.n, self.k, self.entries) == (other.n, other.k, other.entries)
 
 
 @lru_cache(maxsize=64)
@@ -103,9 +98,8 @@ def pi_fiber_oracle(n: int, k: int, p: int, *,
     if p < 2 * n:
         raise ValueError("the fiber construction needs p >= 2n")
     if k ** (2 * n) > limits.max_index_tuples:
-        raise CapExceeded(f"k^(2n) = {k ** (2 * n)} index tuples, over the "
-                          f"max_index_tuples cap of {limits.max_index_tuples} "
-                          f"(raise it with --max-index-tuples)")
+        raise limits.exceeded("max_index_tuples",
+                              f"k^(2n) = {k ** (2 * n)} index tuples")
     classes = enumerate_Hn(n, limits=limits)
     keys = {canonical_key(g) for g in classes}
     entries: dict[tuple[bytes, bytes], int] = {

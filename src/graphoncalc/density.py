@@ -27,7 +27,8 @@ with g's integer adjacency matrix, handed straight to the core, as the
 matrix of every pair of h (see `morphisms.count_hom`), and the surjection
 search takes its vertex order, labelled vertices first, from `_make_plan`.
 The `max_parts` and `max_vertices` caps belong to `_evaluate`, not to the
-core.
+core, which checks only `max_maps`; each refusal is built by
+`Limits.exceeded`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import Multigraph, glue_product
 from .stepkernel import StepKernel, common_refinement, _to_fraction
 
@@ -106,24 +107,6 @@ def _resolve_pins(g: Multigraph, pins: Pins, p: int) -> dict[int, int]:
         raise ValueError(f"pins name labels the graph does not have: {extra}")
     return {label_map[lab]: part_of(_to_fraction(pins[lab]), p) - 1
             for lab in label_map}
-
-
-def _cap_exceeded(nodes: int, limits: Limits) -> CapExceeded:
-    """The error of a search (density or morphism) past its node budget."""
-    return CapExceeded(
-        f"search visited {nodes} nodes, over the max_maps cap of "
-        f"{limits.max_maps} (raise it with --max-maps)")
-
-
-def _check_caps(p: int, n_free: int, limits: Limits) -> None:
-    """The size caps of a density: parts of the kernel, integrated vertices."""
-    if p > limits.max_parts:
-        raise CapExceeded(f"kernel has {p} parts, over the max_parts cap of "
-                          f"{limits.max_parts} (raise it with --max-parts)")
-    if n_free > limits.max_vertices:
-        raise CapExceeded(f"{n_free} integrated vertices, over the max_vertices "
-                          f"cap of {limits.max_vertices} "
-                          f"(raise it with --max-vertices)")
 
 
 def _make_plan(vertex_count: int, pairs: tuple[tuple[int, int], ...],
@@ -226,7 +209,8 @@ def _integrate(vertex_count: int, p: int,
             # checked where the search branches, not at the leaves, which
             # are most of the nodes
             if nodes > cap:
-                raise _cap_exceeded(nodes, limits)
+                raise limits.exceeded("max_maps",
+                                      f"search visited {nodes} nodes")
             v = order[i]
             total = 0
             for c, weight in enumerate(vec):
@@ -249,7 +233,11 @@ def _evaluate(graph: Multigraph, p: int,
     Every kernel has p parts."""
     fixed = _resolve_pins(graph, pins, p)
     n_free = graph.vertex_count - len(fixed)
-    _check_caps(p, n_free, limits)
+    if p > limits.max_parts:
+        raise limits.exceeded("max_parts", f"kernel has {p} parts")
+    if n_free > limits.max_vertices:
+        raise limits.exceeded("max_vertices",
+                              f"{n_free} integrated vertices")
     int_factors = []
     denominator = 1
     for u, v, kernel, e in factors:

@@ -2,7 +2,10 @@
 
 Everything in this library is exact, so the only way to fail is to ask for
 something too large.  Caps are explicit: exceeding one raises
-:class:`CapExceeded` instead of silently truncating.
+:class:`CapExceeded` instead of silently truncating.  `Limits.exceeded`
+builds every such error, and `flag` names the CLI option of each cap, so a
+refusal always reads "<work done>, over the <cap> cap of <value> (raise it
+with <flag>)".
 """
 
 from __future__ import annotations
@@ -14,11 +17,17 @@ class CapExceeded(RuntimeError):
     """A computation was refused because it exceeds a configured resource cap."""
 
 
+def flag(cap: str) -> str:
+    """The CLI option that sets the `Limits` field `cap`."""
+    return "--" + cap.replace("_", "-")
+
+
 @dataclass(frozen=True)
 class Limits:
     """Resource caps for the search and summation kernels.
 
-    max_parts:        largest part count a kernel may have in a density sum
+    max_parts:        largest part count a kernel may have in a density sum,
+                      and in the result of `tensor_product`
     max_vertices:     largest number of integrated vertices in a density sum
     max_maps:         most search nodes (partial vertex maps) one search may
                       visit: a surjection search, where each labelled vertex
@@ -36,6 +45,11 @@ class Limits:
     max_index_tuples: int = 10**7
     max_classes: int = 10**5
     max_cut_parts: int = 20
+
+    def exceeded(self, cap: str, work: str) -> CapExceeded:
+        """The error refusing `work` (what was reached) past the field `cap`."""
+        return CapExceeded(f"{work}, over the {cap} cap of "
+                           f"{getattr(self, cap)} (raise it with {flag(cap)})")
 
 
 DEFAULT_LIMITS = Limits()

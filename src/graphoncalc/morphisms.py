@@ -104,7 +104,7 @@ from itertools import accumulate
 from math import comb, perm
 from typing import NamedTuple, Sequence
 
-from .density import _cap_exceeded, _integrate, _make_plan
+from .density import _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, _adjacency, _twin_classes, canonical_key,
                          simplify)
@@ -265,7 +265,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         nonlocal nodes, total
         nodes += 1
         if nodes > cap:
-            raise _cap_exceeded(nodes, limits)
+            raise limits.exceeded("max_maps", f"search visited {nodes} nodes")
         if i == depth:
             ways = 1
             for (a, b), m in g.pairs:

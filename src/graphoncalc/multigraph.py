@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 
 Pair = tuple[int, int]
 
@@ -430,9 +430,8 @@ def _enumerate_classes(n: int, k: int, limits: Limits) -> tuple[Multigraph, ...]
         for child in _children(h):
             result.setdefault(canonical_key(child), child)
         if len(result) > limits.max_classes:
-            raise CapExceeded(
-                f"more than {limits.max_classes} classes with {n} edges, over "
-                f"the max_classes cap (raise it with --max-classes)")
+            raise limits.exceeded(
+                "max_classes", f"{len(result)} classes with {n} edges so far")
     return tuple(g for _, g in sorted(result.items()))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import Multigraph
 
 
@@ -206,9 +206,7 @@ def cut_norm(f: StepKernel, *, limits: Limits = DEFAULT_LIMITS) -> Fraction:
     """
     p = f.parts
     if p > limits.max_cut_parts:
-        raise CapExceeded(f"cut norm over {p} parts, over the max_cut_parts "
-                          f"cap of {limits.max_cut_parts} "
-                          f"(raise it with --max-cut-parts)")
+        raise limits.exceeded("max_cut_parts", f"cut norm over {p} parts")
     denom, rows = f.integerized()
     sums = [0] * p
     member = [False] * p
@@ -235,12 +233,12 @@ def cut_norm(f: StepKernel, *, limits: Limits = DEFAULT_LIMITS) -> Fraction:
 def tensor_product(f: StepKernel, g: StepKernel, *,
                    limits: Limits = DEFAULT_LIMITS) -> StepKernel:
     """Kernel of (x1,x2,y1,y2) -> f(x1,y1) g(x2,y2) under the lexicographic
-    identification of part pairs; densities multiply exactly."""
+    identification of part pairs; densities multiply exactly.  Refused past
+    `max_parts` parts, as a density on the product would be."""
     p = f.parts * g.parts
-    if p > limits.max_parts * limits.max_parts:
-        raise CapExceeded(f"tensor product would have {p} parts, over the "
-                          f"square of the max_parts cap of {limits.max_parts} "
-                          f"(raise it with --max-parts)")
+    if p > limits.max_parts:
+        raise limits.exceeded("max_parts",
+                              f"tensor product would have {p} parts")
     rows = [[f.matrix[i // g.parts][j // g.parts] * g.matrix[i % g.parts][j % g.parts]
              for j in range(p)] for i in range(p)]
     return StepKernel(rows, _checked=True)

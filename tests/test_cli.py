@@ -1,14 +1,16 @@
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from graphoncalc import graph_to_json, kernel_to_json, quantum_to_json
-from graphoncalc import (Multigraph, QuantumGraph, StepKernel, complete_graph,
-                         graph_from_json, kernel_from_json, matching,
-                         single_edge)
+from graphoncalc import (Limits, Multigraph, QuantumGraph, StepKernel,
+                         complete_graph, graph_from_json, kernel_from_json,
+                         matching, single_edge)
 from graphoncalc import cli
 from graphoncalc.cli import run
+from graphoncalc.limits import flag
 
 
 @pytest.fixture()
@@ -47,26 +49,34 @@ class TestExitCodes:
             Multigraph(9, [(i, (i + 1) % 9) for i in range(9)])))
         kern = files("kern.json", _kernel_json())
         assert run(["density", "--graph", big, "--kernel", kern]) == 2
-        assert "resource cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "resource cap" in err
+        assert ("9 integrated vertices, over the max_vertices cap of 8 "
+                "(raise it with --max-vertices)") in err
 
     def test_density_parts_cap_names_its_flag(self, files, capsys):
         kern = files("kern.json", _kernel_json(parts=13))
         k2 = files("k2.json", _k2_json())
         assert run(["density", "--graph", k2, "--kernel", kern]) == 2
-        assert "--max-parts" in capsys.readouterr().err
+        assert ("over the max_parts cap of 12 (raise it with --max-parts)"
+                in capsys.readouterr().err)
 
     def test_tensor_parts_cap_names_its_flag(self, files, capsys):
         kern = files("kern.json", _kernel_json(parts=4))
         assert run(["--max-parts", "3", "tensor", "--left", kern,
                     "--right", kern]) == 2
-        err = capsys.readouterr().err
-        assert "max_parts" in err and "--max-parts" in err
+        assert ("16 parts, over the max_parts cap of 3 (raise it with "
+                "--max-parts)") in capsys.readouterr().err
+        # the product is capped as its density would be: 16 > 12 parts
+        assert run(["tensor", "--left", kern, "--right", kern]) == 2
+        assert ("16 parts, over the max_parts cap of 12 (raise it with "
+                "--max-parts)") in capsys.readouterr().err
 
     def test_index_tuple_cap_names_its_flag(self, capsys):
         assert run(["--max-index-tuples", "10", "pi", "--oracle",
                     "-n", "2", "-k", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "max_index_tuples" in err and "--max-index-tuples" in err
+        assert ("16 index tuples, over the max_index_tuples cap of 10 "
+                "(raise it with --max-index-tuples)") in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
@@ -77,21 +87,31 @@ class TestCapFlags:
         seen = []
         monkeypatch.setitem(cli._HANDLERS, "aut",
                             lambda args, limits: seen.append(limits) or 0)
-        assert run(["--max-maps", "7", "aut", "--graph", "unread.json"]) == 0
-        assert seen[0].max_maps == 7
+        assert run(["--max-parts", "2", "--max-vertices", "3",
+                    "--max-maps", "7", "--max-index-tuples", "11",
+                    "--max-classes", "13", "--max-cut-parts", "17",
+                    "aut", "--graph", "unread.json"]) == 0
+        assert seen[0] == Limits(max_parts=2, max_vertices=3, max_maps=7,
+                                 max_index_tuples=11, max_classes=13,
+                                 max_cut_parts=17)
+        caps = {option for action in cli._build_parser()._actions
+                for option in action.option_strings
+                if option.startswith("--max-")}
+        assert caps == {flag(cap.name) for cap in fields(Limits)}
 
     def test_aut_of_matching(self, files, capsys):
         m4 = files("m4.json", graph_to_json(matching(4)))
         assert run(["aut", "--graph", m4]) == 0
         assert capsys.readouterr().out.strip() == "384"
         assert run(["--max-maps", "10", "aut", "--graph", m4]) == 2
-        assert "--max-maps" in capsys.readouterr().err
+        assert ("visited 11 nodes, over the max_maps cap of 10 (raise it with "
+                "--max-maps)") in capsys.readouterr().err
 
     def test_max_classes(self, capsys):
         # the 4-edge listing holds 23 classes
         assert run(["--max-classes", "22", "enumerate", "-n", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "max_classes" in err and "--max-classes" in err
+        assert ("over the max_classes cap of 22 (raise it with "
+                "--max-classes)") in capsys.readouterr().err
         assert run(["--max-classes", "23", "--format", "json", "enumerate",
                     "-n", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 23
@@ -100,8 +120,8 @@ class TestCapFlags:
         kern = files("kern.json", {"parts": 3, "matrix": [
             ["1", "-1", "0"], ["-1", "1", "0"], ["0", "0", "0"]]})
         assert run(["--max-cut-parts", "2", "cutnorm", "--kernel", kern]) == 2
-        err = capsys.readouterr().err
-        assert "max_cut_parts" in err and "--max-cut-parts" in err
+        assert ("cut norm over 3 parts, over the max_cut_parts cap of 2 "
+                "(raise it with --max-cut-parts)") in capsys.readouterr().err
         assert run(["--max-cut-parts", "3", "cutnorm", "--kernel", kern]) == 0
         assert capsys.readouterr().out.strip() == "1/9 (0.1111111111)"
 
