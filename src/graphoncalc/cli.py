@@ -133,7 +133,8 @@ def _build_parser() -> _Parser:
     cmd = sub.add_parser("verify", help="run a verification suite")
     cmd.add_argument("suite", choices=("consistency",))
     cmd.add_argument("-n", type=int, required=True)
-    cmd.add_argument("-p", type=int, default=None, help="largest coarse scale")
+    cmd.add_argument("-p", type=int, help="largest coarse scale p of the "
+                     "derivative check, which reads p and k*p (default 2N)")
     cmd.add_argument("-k", type=int, default=3, help="largest split factor")
 
     cmd = sub.add_parser("taylor-recover",

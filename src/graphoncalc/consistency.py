@@ -7,6 +7,14 @@ by n-edge classes, independent of p and of the functional being evaluated.
 Two independent routes compute it: the closed formula (automorphism-corrected
 weighted surjection counts) and the direct fiber enumeration, which double-
 check each other.
+
+`verify_structure` machine-checks the structure theory on them.  Its
+scale-change relation (d) is one integer identity per k,
+Pi_k S = S diag(k^|V(H)|) with S[H][g] = |Surj(H, g)|; it reads no scale,
+so it holds at every p.  Check (e) ties it to the derivatives: the n-th
+derivative of t(H, .) at 0 on a basis tuple of class h is
+|Surj(H, h)| / p^|V(H)|, compared at every scale the report reads, which
+its detail names.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
@@ -177,67 +186,80 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
     (b) the matrices are invertible (p >= 2n scales),
     (c) the derivative vectors of the n-edge densities span everything:
         their matrix at p = 2n has nonzero determinant,
-    (d) the scale-change relation holds exactly for every n-edge density.
+    (d) the scale-change relation, as the integer identity
+        Pi_k S = S diag(k^|V(H)|) for k = 2 .. k_max, where
+        S[H][g] = |Surj(H, g)|; it reads no scale, so it holds at every p,
+    (e) derivatives are surjection counts: the n-th derivative of t(H, .)
+        at 0 on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, at 2n
+        and at p and k*p for every p <= p_max and k <= k_max with k*p
+        within `max_parts`; the detail names those scales.
+
+    With (e), (d) is the relation between the derivative vectors at p and
+    k*p parts, for every p.
     """
     if p_max is None:
         p_max = 2 * n
+    for name, value, least in (("n", n, 1), ("k_max", k_max, 2),
+                               ("p_max", p_max, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     checks: list[StructureCheck] = []
     classes = enumerate_Hn(n, limits=limits)
+    # the tables are indexed in the surjection order, so (a)'s triangularity
+    # compares indices; (c) keeps the listing order, which fixes its sign
     ordered = surjection_total_order(classes)
-    position = {canonical_key(g): i for i, g in enumerate(ordered)}
-    counts = surjection_table(classes, classes, limits=limits)
-    surjects = {(canonical_key(g), canonical_key(h)): counts[i][j] > 0
-                for i, h in enumerate(classes)
-                for j, g in enumerate(classes)}
+    counts = surjection_table(ordered, ordered, limits=limits)
 
+    pi_rows = {}
     for k in range(1, k_max + 1):
-        matrix = pi_formula(n, k, limits=limits)
-        ok = True
+        rows = pi_rows[k] = pi_formula(n, k, limits=limits).rows(ordered)
         details = []
-        for g in classes:
-            for h in classes:
-                value = matrix.value(g, h)
-                if value > 0 and not surjects[canonical_key(g), canonical_key(h)]:
-                    ok = False
+        for a, row in enumerate(rows):
+            for b, value in enumerate(row):
+                if value > 0 and not counts[b][a]:
                     details.append("support violates the surjection condition")
-                if value > 0 and position[canonical_key(g)] > position[canonical_key(h)]:
-                    ok = False
+                if value > 0 and a > b:
                     details.append("entry above the diagonal order")
-            if matrix.value(g, g) <= 0:
-                ok = False
+            if row[a] <= 0:
                 details.append("non-positive diagonal")
         checks.append(StructureCheck(
-            f"triangularity k={k}", ok,
+            f"triangularity k={k}", not details,
             details[0] if details else "triangular with positive diagonal"))
 
-        det = linalg.determinant(matrix.rows(tuple(ordered)))
+        det = linalg.determinant(rows)
         checks.append(StructureCheck(
             f"invertibility k={k}", det != 0, f"det = {det}"))
 
-    # every derivative vector (c) and (d) read, once per (class, scale)
     p0 = 2 * n
-    steps = [(p, k) for p in range(2, p_max + 1) for k in range(2, k_max + 1)
-             if k * p <= limits.max_parts]
-    scales = sorted({p0, *(s for p, k in steps for s in (p, k * p))})
-    vectors = {(i, s): extract_T(QuantumGraph.from_graph(H), n, s, limits=limits)
-               for i, H in enumerate(classes) for s in scales}
+    scales = sorted({p0, *(s for p in range(2, p_max + 1)
+                           for k in range(2, k_max + 1)
+                           if k * p <= limits.max_parts for s in (p, k * p))})
+    vectors = {(H, s): extract_T(QuantumGraph.from_graph(H), n, s, limits=limits)
+               for H in classes for s in scales}
 
-    coarse = enumerate_Hnp(n, p0, limits=limits)
-    t_rows = [[vectors[i, p0].entries[canonical_key(h)] for h in coarse]
-              for i in range(len(classes))]
+    t_rows = [[value for _, value in vectors[H, p0].as_items()]
+              for H in classes]
     det = linalg.determinant(t_rows)
     checks.append(StructureCheck(
         f"density-derivative basis at p={p0}", det != 0, f"det = {det}"))
 
-    relation_ok = True
-    relation_detail = "scale-change relation holds exactly"
-    for p, k in steps:
-        for i, H in enumerate(classes):
-            if apply_constraint(vectors[i, k * p], k,
-                                limits=limits) != vectors[i, p]:
-                relation_ok = False
-                relation_detail = (f"relation fails for "
-                                   f"{graph_signature(H)} at p={p}, k={k}")
-    checks.append(StructureCheck("scale-change relation", relation_ok,
-                                 relation_detail))
+    relation = next((f"relation fails for {graph_signature(H)} at k={k}"
+                     for k in range(2, k_max + 1)
+                     for H, row in zip(ordered, counts)
+                     if [sum(map(mul, pi_row, row)) for pi_row in pi_rows[k]]
+                     != [k ** H.vertex_count * c for c in row]), None)
+    checks.append(StructureCheck(
+        "scale-change relation", relation is None, relation or
+        f"Pi_k S = S diag(k^|V(H)|) for k=2..{k_max}: holds at every scale"))
+
+    index = {canonical_key(g): j for j, g in enumerate(ordered)}
+    wrong = next((f"T_{s}({graph_signature(H)}) is not |Surj(H, h)| / p^|V(H)|"
+                  for s in scales for H, row in zip(ordered, counts)
+                  if vectors[H, s].entries != {
+                      key: Fraction(row[index[skey]], s ** H.vertex_count)
+                      for key, skey in stripped_keys(n, s, limits=limits).items()}),
+                 None)
+    checks.append(StructureCheck(
+        "derivatives are surjection counts", wrong is None, wrong or
+        f"T_p(H)[h] = |Surj(H, h)| / p^|V(H)| at p={', '.join(map(str, scales))}"))
     return StructureReport(n, tuple(checks))

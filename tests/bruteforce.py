@@ -10,8 +10,8 @@ core and the derivative summed over every slot assignment).  None of it
 shares code with the production implementations, except that the
 fixed-vertex-count enumeration and the augment-everything class listing
 dedup and order by `canonical_key`, that
-`recomputing_verify_structure`, the structure check as it was before it
-computed each fact once, calls the library's own pieces, and that
+`recomputing_verify_structure`, the structure check by independent
+routes, reads the library's scale matrices and derivatives, and that
 `permutation_gateaux` evaluates each assignment with the library's
 `density._evaluate`.
 """
@@ -25,7 +25,7 @@ from math import comb, lcm, perm
 
 from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
                          canonical_key, consistency, count_surj, enumerate_Hn,
-                         enumerate_Hnp, graph_signature, linalg)
+                         enumerate_Hnp, graph_signature, linalg, strip_isolated)
 from graphoncalc.consistency import (StructureCheck, StructureReport,
                                      surjection_total_order)
 from graphoncalc.density import _evaluate
@@ -613,28 +613,34 @@ def brute_orbit_count(H: Multigraph, counts) -> int:
 def recomputing_verify_structure(n: int, p_max: int | None = None,
                                  k_max: int = 3, *,
                                  limits=DEFAULT_LIMITS) -> StructureReport:
-    """`consistency.verify_structure` as it was before it computed each fact
-    once: every surjection test once per k and pair, by `count_surj`, every
-    derivative vector once per (p, k) step that reads it.  The scale
-    matrices and derivative vectors are read through the `consistency`
-    module, so a test that patches one of them there reaches both
-    versions."""
+    """`consistency.verify_structure` by independent routes: the surjection
+    counts S[H][g] by `count_surj` once per pair, the relation (d) summed
+    entry by entry from the scale matrices, the scales (e) reads from the
+    (p, k) steps, and each derivative compared with `count_surj` / p^|V|
+    through `strip_isolated`.  The scale matrices and derivative vectors are
+    read through the `consistency` module, so a test that patches one of
+    them there reaches both versions."""
     if p_max is None:
         p_max = 2 * n
     checks: list[StructureCheck] = []
     classes = enumerate_Hn(n, limits=limits)
     ordered = surjection_total_order(classes)
     position = {canonical_key(g): i for i, g in enumerate(ordered)}
+    surj = {(canonical_key(H), canonical_key(g)): count_surj(H, g, limits=limits)
+            for H in classes for g in classes}
 
+    def S(H, g):
+        return surj[canonical_key(H), canonical_key(g)]
+
+    matrices = {}
     for k in range(1, k_max + 1):
-        matrix = consistency.pi_formula(n, k, limits=limits)
+        matrix = matrices[k] = consistency.pi_formula(n, k, limits=limits)
         ok = True
         details = []
-        for g in classes:
-            for h in classes:
+        for g in ordered:
+            for h in ordered:
                 value = matrix.value(g, h)
-                surjects = count_surj(h, g, limits=limits) > 0
-                if value > 0 and not surjects:
+                if value > 0 and S(h, g) == 0:
                     ok = False
                     details.append("support violates the surjection condition")
                 if value > 0 and position[canonical_key(g)] > position[canonical_key(h)]:
@@ -663,23 +669,40 @@ def recomputing_verify_structure(n: int, p_max: int | None = None,
     checks.append(StructureCheck(
         f"density-derivative basis at p={p0}", det != 0, f"det = {det}"))
 
-    relation_ok = True
-    relation_detail = "scale-change relation holds exactly"
+    relation_failures = []
+    for k in range(2, k_max + 1):
+        for H in ordered:
+            for g in ordered:
+                total = sum(matrices[k].value(g, h) * S(H, h) for h in classes)
+                if total != k ** H.vertex_count * S(H, g):
+                    relation_failures.append(
+                        f"relation fails for {graph_signature(H)} at k={k}")
+    checks.append(StructureCheck(
+        "scale-change relation", not relation_failures,
+        relation_failures[0] if relation_failures else
+        f"Pi_k S = S diag(k^|V(H)|) for k=2..{k_max}: holds at every scale"))
+
+    scales = {p0}
     for p in range(2, p_max + 1):
         for k in range(2, k_max + 1):
-            if k * p > limits.max_parts:
-                continue
-            for H in classes:
-                F = QuantumGraph.from_graph(H)
-                fine = consistency.extract_T(F, n, k * p, limits=limits)
-                direct = consistency.extract_T(F, n, p, limits=limits)
-                if consistency.apply_constraint(fine, k,
-                                                limits=limits) != direct:
-                    relation_ok = False
-                    relation_detail = (f"relation fails for "
-                                       f"{graph_signature(H)} at p={p}, k={k}")
-    checks.append(StructureCheck("scale-change relation", relation_ok,
-                                 relation_detail))
+            if k * p <= limits.max_parts:
+                scales |= {p, k * p}
+    count_failures = []
+    for p in sorted(scales):
+        for H in ordered:
+            vec = consistency.extract_T(QuantumGraph.from_graph(H), n, p,
+                                        limits=limits)
+            expected = {canonical_key(h): Fraction(S(H, strip_isolated(h)),
+                                                   p ** H.vertex_count)
+                        for h in enumerate_Hnp(n, p, limits=limits)}
+            if vec.entries != expected:
+                count_failures.append(f"T_{p}({graph_signature(H)}) is not "
+                                      f"|Surj(H, h)| / p^|V(H)|")
+    checks.append(StructureCheck(
+        "derivatives are surjection counts", not count_failures,
+        count_failures[0] if count_failures else
+        "T_p(H)[h] = |Surj(H, h)| / p^|V(H)| at p="
+        + ", ".join(str(p) for p in sorted(scales))))
     return StructureReport(n, tuple(checks))
 
 

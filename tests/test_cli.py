@@ -44,6 +44,13 @@ class TestExitCodes:
         assert run(["density", "--graph", bad, "--kernel", kern]) == 1
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["-n", "0"], ["-n", "2", "-k", "1"], ["-n", "2", "-k", "0"],
+        ["-n", "2", "-p", "1"]])
+    def test_verify_with_nothing_to_check(self, args, capsys):
+        assert run(["verify", "consistency", *args]) == 1
+        assert "must be at least" in capsys.readouterr().err
+
     def test_cap_exceeded_is_exit_two(self, files, capsys):
         big = files("big.json", graph_to_json(
             Multigraph(9, [(i, (i + 1) % 9) for i in range(9)])))

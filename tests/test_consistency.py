@@ -193,6 +193,45 @@ class TestStructureReport:
         names = [c.name for c in report.checks]
         assert "scale-change relation" in names
 
+    @pytest.mark.parametrize("args,message", [
+        ((0,), "n must be at least 1"),
+        ((2, 4, 1), "k_max must be at least 2"),
+        ((2, 4, 0), "k_max must be at least 2"),
+        ((2, 1, 3), "p_max must be at least 2")])
+    def test_rejects_inputs_with_nothing_to_check(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            verify_structure(*args)
+
+    def test_relation_reads_no_scale_under_a_parts_cap(self):
+        # with max_parts = 4 only the scales 2 and 4 are read, yet the
+        # relation is checked for every k up to k_max
+        report = verify_structure(2, p_max=4, k_max=3,
+                                  limits=Limits(max_parts=4))
+        assert report.passed
+        details = {c.name: c.detail for c in report.checks}
+        assert details["scale-change relation"] == (
+            "Pi_k S = S diag(k^|V(H)|) for k=2..3: holds at every scale")
+        assert details["derivatives are surjection counts"].endswith(
+            "at p=2, 4")
+
+    def test_corrupted_surjection_count_fails_the_relation(self, monkeypatch):
+        table = consistency.surjection_table
+
+        def corrupted(sources, targets, k=None, *, limits=DEFAULT_LIMITS):
+            counts = table(sources, targets, k, limits=limits)
+            if k is None:
+                # the last class in surjection order has the most simple
+                # edges and vertices: add 1 to its count onto a quotient
+                i = len(counts) - 1
+                j = next(j for j, c in enumerate(counts[i]) if c and j != i)
+                counts[i][j] += 1
+            return counts
+
+        monkeypatch.setattr(consistency, "surjection_table", corrupted)
+        report = verify_structure(2, p_max=4, k_max=2)
+        assert "scale-change relation" in [
+            c.name for c in report.checks if not c.passed]
+
     def test_n3_t_matrix_nonsingular(self):
         classes = enumerate_Hn(3)
         coarse = enumerate_Hnp(3, 6)
@@ -204,19 +243,24 @@ class TestStructureReport:
 
 
 class TestStructureAgainstRecomputing:
-    @pytest.mark.parametrize("n,p_max,k_max", [
-        (1, 3, 3), (2, 4, 2), (2, None, 3), (3, None, 3), (3, 4, 2)])
-    def test_same_report(self, n, p_max, k_max):
-        report = verify_structure(n, p_max, k_max)
+    @pytest.mark.parametrize("n,p_max,k_max,limits", [
+        pytest.param(1, 3, 3, DEFAULT_LIMITS, id="1-3-3"),
+        pytest.param(2, 4, 2, DEFAULT_LIMITS, id="2-4-2"),
+        pytest.param(2, None, 3, DEFAULT_LIMITS, id="2-None-3"),
+        pytest.param(3, None, 3, DEFAULT_LIMITS, id="3-None-3"),
+        pytest.param(3, 4, 2, DEFAULT_LIMITS, id="3-4-2"),
+        pytest.param(2, 4, 3, Limits(max_parts=4), id="2-4-3-max_parts4")])
+    def test_same_report(self, n, p_max, k_max, limits):
+        report = verify_structure(n, p_max, k_max, limits=limits)
         assert report.passed
-        assert report.summary() == \
-            recomputing_verify_structure(n, p_max, k_max).summary()
+        assert report.summary() == recomputing_verify_structure(
+            n, p_max, k_max, limits=limits).summary()
 
     @staticmethod
-    def _failures(n, p_max, k_max):
-        report = verify_structure(n, p_max, k_max)
-        assert report.summary() == \
-            recomputing_verify_structure(n, p_max, k_max).summary()
+    def _failures(n, p_max, k_max, limits=DEFAULT_LIMITS):
+        report = verify_structure(n, p_max, k_max, limits=limits)
+        assert report.summary() == recomputing_verify_structure(
+            n, p_max, k_max, limits=limits).summary()
         return [(c.name, c.detail) for c in report.checks if not c.passed]
 
     def test_perturbed_derivative_entry_fails_alike(self, monkeypatch):
@@ -233,8 +277,8 @@ class TestStructureAgainstRecomputing:
 
         monkeypatch.setattr(consistency, "extract_T", perturbed)
         assert self._failures(2, 4, 2) == [
-            ("scale-change relation",
-             f"relation fails for {graph_signature(H)} at p=3, k=2")]
+            ("derivatives are surjection counts",
+             f"T_3({graph_signature(H)}) is not |Surj(H, h)| / p^|V(H)|")]
 
     def test_entry_above_the_diagonal_fails_alike(self, monkeypatch):
         formula = consistency.pi_formula
@@ -252,6 +296,26 @@ class TestStructureAgainstRecomputing:
         failures = self._failures(2, 4, 3)
         assert failures[0] == ("triangularity k=2",
                                "support violates the surjection condition")
+
+    def test_corrupted_pi_3_fails_under_a_parts_cap(self, monkeypatch):
+        # at max_parts = 4 no (p, 3) step fits, and the per-step relation
+        # read pi_3 nowhere; the identity reads it at every scale
+        formula = consistency.pi_formula
+
+        def corrupted(n, k, *, limits=DEFAULT_LIMITS):
+            matrix = formula(n, k, limits=limits)
+            if k != 3:
+                return matrix
+            entries = dict(matrix.entries)
+            pair = next(pair for pair, value in entries.items()
+                        if value and pair[0] != pair[1])
+            entries[pair] += 1
+            return ConsistencyMatrix(n, k, matrix.classes, entries)
+
+        monkeypatch.setattr(consistency, "pi_formula", corrupted)
+        failures = self._failures(2, 4, 3, Limits(max_parts=4))
+        assert [name for name, _ in failures] == ["scale-change relation"]
+        assert failures[0][1].endswith("at k=3")
 
 
 class TestLinearConsistencyDimension:
