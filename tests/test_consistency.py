@@ -202,18 +202,6 @@ class TestStructureReport:
         with pytest.raises(ValueError, match=message):
             verify_structure(*args)
 
-    def test_relation_reads_no_scale_under_a_parts_cap(self):
-        # with max_parts = 4 only the scales 2 and 4 are read, yet the
-        # relation is checked for every k up to k_max
-        report = verify_structure(2, p_max=4, k_max=3,
-                                  limits=Limits(max_parts=4))
-        assert report.passed
-        details = {c.name: c.detail for c in report.checks}
-        assert details["scale-change relation"] == (
-            "Pi_k S = S diag(k^|V(H)|) for k=2..3: holds at every scale")
-        assert details["derivatives are surjection counts"].endswith(
-            "at p=2, 4")
-
     def test_corrupted_surjection_count_fails_the_relation(self, monkeypatch):
         table = consistency.surjection_table
 
