@@ -10,13 +10,13 @@ from .calculus import (ConsistencyVector, DerivativeRequest, StarComparison,
                        extract_T, gamma, gateaux_exact, gateaux_numeric,
                        sidorenko_star_check)
 from .consistency import (ConsistencyMatrix, StructureReport, apply_constraint,
-                          pi_fiber_oracle, pi_formula, surjection_total_order,
-                          verify_structure)
+                          pi_fiber_oracle, pi_formula, verify_structure)
 from .density import (ARG, DecoratedDensity, density, eval_decorated,
                       labelled_density, multiplicativity_check, pins_from_json,
                       pins_to_json)
 from .limits import DEFAULT_LIMITS, WIDE_LIMITS, CapExceeded, Limits
-from .morphisms import (count_aut, count_hom, count_surj, t_combinatorial)
+from .morphisms import (count_aut, count_hom, count_surj,
+                        surjection_total_order, t_combinatorial)
 from .multigraph import (Multigraph, canonical_key, complete_graph,
                          cycle_graph, disjoint_union, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,

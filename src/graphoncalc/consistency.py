@@ -11,10 +11,12 @@ check each other.
 `verify_structure` machine-checks the structure theory on them.  Its
 scale-change relation (d) is one integer identity per k,
 Pi_k S = S diag(k^|V(H)|) with S[H][g] = |Surj(H, g)|; it reads no scale,
-so it holds at every p.  Check (e) ties it to the derivatives: the n-th
-derivative of t(H, .) at 0 on a basis tuple of class h is
-|Surj(H, h)| / p^|V(H)|, compared at every scale the report reads, which
-its detail names.
+so it holds at every p.  S is `morphisms.surjection_counts`, searched once
+per edge count in a process, and Taylor recovery reads the same table.
+Check (e) ties it to the derivatives: the n-th derivative of t(H, .) at 0
+on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, which is column H
+of `series.surjection_matrix(n, p)`, the matrix Taylor recovery solves; (e)
+compares the two at every scale the report reads, which its detail names.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from operator import mul
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
 from .limits import DEFAULT_LIMITS, Limits
-from .morphisms import surjection_table, surjection_total_order
+from .morphisms import surjection_counts, surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, strip_isolated,
                          stripped_keys)
-from .series import QuantumGraph
+from .series import QuantumGraph, surjection_matrix
 
 
 @dataclass(frozen=True)
@@ -189,13 +191,18 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
     (d) the scale-change relation, as the integer identity
         Pi_k S = S diag(k^|V(H)|) for k = 2 .. k_max, where
         S[H][g] = |Surj(H, g)|; it reads no scale, so it holds at every p,
-    (e) derivatives are surjection counts: the n-th derivative of t(H, .)
-        at 0 on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, at 2n
-        and at p and k*p for every p <= p_max and k <= k_max with k*p
-        within `max_parts`; the detail names those scales.
+    (e) derivatives are surjection counts: `extract_T(H, n, s)` equals
+        column H of `surjection_matrix(n, s)`, |Surj(H, h)| / s^|V(H)| on
+        the class h, at s = 2n and at p and k*p for every p <= p_max and
+        k <= k_max with k*p within `max_parts`; the detail names those
+        scales.
 
-    With (e), (d) is the relation between the derivative vectors at p and
-    k*p parts, for every p.
+    S is read from `surjection_counts`, searched once per edge count in a
+    process and shared with `surjection_matrix`, so the report runs no
+    surjection search of its own beyond that table and the scale matrices,
+    and (e) checks the very matrix Taylor recovery solves.  With (e), (d)
+    is the relation between the derivative vectors at p and k*p parts, for
+    every p.
     """
     if p_max is None:
         p_max = 2 * n
@@ -205,10 +212,10 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
             raise ValueError(f"{name} must be at least {least}")
     checks: list[StructureCheck] = []
     classes = enumerate_Hn(n, limits=limits)
-    # the tables are indexed in the surjection order, so (a)'s triangularity
-    # compares indices; (c) keeps the listing order, which fixes its sign
-    ordered = surjection_total_order(classes)
-    counts = surjection_table(ordered, ordered, limits=limits)
+    # S and the scale matrices are indexed in the surjection order, so (a)'s
+    # triangularity compares indices; (c) and (e) keep the listing order of
+    # the columns of `surjection_matrix`, which fixes (c)'s sign
+    ordered, counts = surjection_counts(n, limits)
 
     pi_rows = {}
     for k in range(1, k_max + 1):
@@ -252,12 +259,10 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
         "scale-change relation", relation is None, relation or
         f"Pi_k S = S diag(k^|V(H)|) for k=2..{k_max}: holds at every scale"))
 
-    index = {canonical_key(g): j for j, g in enumerate(ordered)}
     wrong = next((f"T_{s}({graph_signature(H)}) is not |Surj(H, h)| / p^|V(H)|"
-                  for s in scales for H, row in zip(ordered, counts)
-                  if vectors[H, s].entries != {
-                      key: Fraction(row[index[skey]], s ** H.vertex_count)
-                      for key, skey in stripped_keys(n, s, limits=limits).items()}),
+                  for s in scales for H, column in zip(
+                      classes, zip(*surjection_matrix(n, s, limits=limits)[2]))
+                  if tuple(v for _, v in vectors[H, s].as_items()) != column),
                  None)
     checks.append(StructureCheck(
         "derivatives are surjection counts", wrong is None, wrong or

@@ -83,7 +83,9 @@ searched, and the orbit is filled by closure under the index maps of the
 permutations (1 2) and (1 2 ... k), which generate them all; the maps
 cost at most two relabelled `canonical_key`s per class.  Whitney(4, 2) searches
 14,839 of its 78,961 pairs this way, and 8,215 of those pass the tests
-above.
+above.  The unlabelled table S of one edge count, behind Taylor recovery
+and the structure report, is `surjection_counts`: searched once per edge
+count in a process and read by both.
 
 What the counts need of a graph is one `_Record`, built the first time the
 graph is counted and kept on the graph (`Multigraph._record`), so a pair
@@ -107,7 +109,7 @@ from typing import NamedTuple, Sequence
 from .density import _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, _adjacency, _twin_classes, canonical_key,
-                         simplify)
+                         enumerate_Hn)
 
 
 @lru_cache(maxsize=None)
@@ -438,9 +440,22 @@ def surjection_table(sources: Sequence[Multigraph],
 
 def surjection_total_order(classes) -> list[Multigraph]:
     """Total order refining 'a representative surjects onto': simple-edge
-    count, then vertex count, then canonical key."""
-    return sorted(classes, key=lambda g: (simplify(g).edge_count,
-                                          g.vertex_count, canonical_key(g)))
+    count (the number of distinct pairs), then vertex count, then canonical
+    key."""
+    return sorted(classes, key=lambda g: (len(g.pairs), g.vertex_count,
+                                          canonical_key(g)))
+
+
+@lru_cache(maxsize=64)
+def surjection_counts(n: int, limits: Limits):
+    """The unlabelled n-edge classes in `surjection_total_order`, and the
+    table S of their surjection counts, S[i][j] = |Surj(classes[i],
+    classes[j])|, both as tuples.  One `surjection_table`, searched once per
+    edge count (and `limits`) in a process and read by
+    `series.surjection_matrix` and `consistency.verify_structure` alike."""
+    classes = tuple(surjection_total_order(enumerate_Hn(n, limits=limits)))
+    table = surjection_table(classes, classes, limits=limits)
+    return classes, tuple(map(tuple, table))
 
 
 def t_combinatorial(h: Multigraph, g: Multigraph, *,

@@ -23,7 +23,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import linalg
 from .density import Pins, density, labelled_density, part_of
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import surjection_table, surjection_total_order
+from .morphisms import (surjection_counts, surjection_table,
+                        surjection_total_order)
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
                          graph_signature, graph_to_json, pad_labels,
@@ -441,15 +442,15 @@ def eval_series(S: PowerSeries, f: StepKernel, N: int, *,
     tail = S.tail
     if tail is None:
         return SeriesValue(value, None)
+    if N >= tail.start:
+        # a tail starts past every stored slice, so this is a series with
+        # no slice and a tail from degree 0, whose degree 0 is not stored
+        raise ValueError(f"coefficients from degree {tail.start} are not stored")
     q = tail.ratio * s ** tail.stride
     if q >= 1:
         raise ValueError("kernel bound is not below the radius of convergence; "
                          "no tail bound exists")
-    j0 = 0
-    if N >= tail.start:
-        j0 = (N - tail.start) // tail.stride + 1
-    first_degree = tail.start + j0 * tail.stride
-    bound += tail.scale * tail.ratio ** j0 * s ** first_degree / (1 - q)
+    bound += tail.scale * s ** tail.start / (1 - q)
     return SeriesValue(value, bound)
 
 
@@ -496,22 +497,20 @@ def surjection_matrix(n: int, p: int, *,
     """Rows h in the p-vertex classes, columns H in the no-isolated classes:
     |Surj(H, h-with-isolated-removed)| / p^|V(H)|.
 
-    The counts are one `surjection_table` from the columns onto the row
-    classes with their isolated vertices removed, which are the column
-    classes with at most p vertices; so each count is searched once, and
-    only where that class can be a quotient of H.
+    The counts are read from `morphisms.surjection_counts`, the table S of
+    the n-edge classes, searched once per edge count in a process: each row
+    class is a column class padded with isolated vertices (`stripped_keys`),
+    so entry (h, H) is S at (H, the class h was padded from).  No call
+    searches a pair of its own.
     """
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
-    # each row class is a column class padded with isolated vertices; the
-    # column class itself is searched, so its search record serves both
-    by_key = {canonical_key(H): H for H in col_classes}
-    sources = stripped_keys(n, p, limits=limits)
-    stripped = [by_key[sources[canonical_key(h)]] for h in rows_classes]
-    table = surjection_table(col_classes, stripped, limits=limits)
-    matrix = [[_count_entry(counts[r], p ** H.vertex_count)
-               for H, counts in zip(col_classes, table)]
-              for r in range(len(rows_classes))]
+    classes, counts = surjection_counts(n, limits)
+    index = {canonical_key(g): i for i, g in enumerate(classes)}
+    columns = [(counts[index[canonical_key(H)]], p ** H.vertex_count)
+               for H in col_classes]
+    matrix = [[_count_entry(row[index[key]], scale) for row, scale in columns]
+              for key in stripped_keys(n, p, limits=limits).values()]
     return rows_classes, col_classes, matrix
 
 

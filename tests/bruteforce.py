@@ -25,9 +25,9 @@ from math import comb, lcm, perm
 
 from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
                          canonical_key, consistency, count_surj, enumerate_Hn,
-                         enumerate_Hnp, graph_signature, linalg, strip_isolated)
-from graphoncalc.consistency import (StructureCheck, StructureReport,
-                                     surjection_total_order)
+                         enumerate_Hnp, graph_signature, linalg, strip_isolated,
+                         surjection_total_order)
+from graphoncalc.consistency import StructureCheck, StructureReport
 from graphoncalc.density import _evaluate
 from graphoncalc.series import eval_quantum
 from graphoncalc.stepkernel import common_refinement
@@ -689,7 +689,8 @@ def recomputing_verify_structure(n: int, p_max: int | None = None,
                 scales |= {p, k * p}
     count_failures = []
     for p in sorted(scales):
-        for H in ordered:
+        # the report reads the columns of `surjection_matrix`: listing order
+        for H in classes:
             vec = consistency.extract_T(QuantumGraph.from_graph(H), n, p,
                                         limits=limits)
             expected = {canonical_key(h): Fraction(S(H, strip_isolated(h)),

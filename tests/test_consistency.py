@@ -11,7 +11,7 @@ from graphoncalc import (ConsistencyMatrix, ConsistencyVector, Multigraph,
                          pi_formula, strip_isolated, surjection_total_order,
                          verify_structure)
 from graphoncalc.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from graphoncalc import consistency, linalg, multigraph
+from graphoncalc import consistency, linalg, morphisms, multigraph, series
 from graphoncalc.morphisms import surjection_weight_sum
 
 from .bruteforce import recomputing_verify_structure
@@ -203,7 +203,10 @@ class TestStructureReport:
             verify_structure(*args)
 
     def test_corrupted_surjection_count_fails_the_relation(self, monkeypatch):
-        table = consistency.surjection_table
+        # S is built, and cached, where `morphisms.surjection_counts` calls
+        # `surjection_table`; the cache is cleared on both sides of the
+        # corruption, so no other test reads the corrupted table
+        table = morphisms.surjection_table
 
         def corrupted(sources, targets, k=None, *, limits=DEFAULT_LIMITS):
             counts = table(sources, targets, k, limits=limits)
@@ -215,10 +218,47 @@ class TestStructureReport:
                 counts[i][j] += 1
             return counts
 
-        monkeypatch.setattr(consistency, "surjection_table", corrupted)
-        report = verify_structure(2, p_max=4, k_max=2)
+        monkeypatch.setattr(morphisms, "surjection_table", corrupted)
+        morphisms.surjection_counts.cache_clear()
+        try:
+            report = verify_structure(2, p_max=4, k_max=2)
+        finally:
+            morphisms.surjection_counts.cache_clear()
         assert "scale-change relation" in [
             c.name for c in report.checks if not c.passed]
+
+    def test_swapped_surjection_matrix_rows_fail_the_counts(self, monkeypatch):
+        """(e) reads the matrix Taylor recovery solves: two rows of
+        `surjection_matrix(3, 6)` swapped, through the stripped keys it
+        reads, fail (e) and nothing else."""
+        stripped = series.stripped_keys
+
+        def swapped(n, p, *, limits=DEFAULT_LIMITS):
+            keys = stripped(n, p, limits=limits)
+            if (n, p) != (3, 6):
+                return keys
+            (a, x), (b, y) = list(keys.items())[:2]
+            return {**keys, a: y, b: x}
+
+        monkeypatch.setattr(series, "stripped_keys", swapped)
+        report = verify_structure(3)
+        assert [c.name for c in report.checks if not c.passed] == [
+            "derivatives are surjection counts"]
+        assert report.checks[-1].detail.startswith("T_6(")
+
+    def test_surjection_matrix_reads_the_report_table(self, monkeypatch):
+        """S is searched once per edge count: after the report, the Taylor
+        matrices of that edge count search no pair at any scale."""
+        assert verify_structure(4).passed
+        calls = []
+        search = morphisms._surjective_vertex_map_sum
+        monkeypatch.setattr(morphisms, "_surjective_vertex_map_sum",
+                            lambda *args, **kw: (calls.append(args),
+                                                 search(*args, **kw))[1])
+        for p in range(2, 13):
+            rows, cols, matrix = series.surjection_matrix(4, p)
+            assert len(matrix) == len(rows)
+        assert calls == []
 
     def test_n3_t_matrix_nonsingular(self):
         classes = enumerate_Hn(3)

@@ -156,6 +156,16 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(S, StepKernel.constant(1), 100, limits=WIDE_LIMITS)
 
+    def test_no_tail_bound_from_the_tail_start_on(self):
+        # with no slice stored, a tail may start at degree 0; its degree-0
+        # norm, 1, is in neither a partial sum through N = 0 nor a bound
+        # from degree 1 on (1/2 * 1/2 / (1 - 1/4) = 1/3), so N = 0 is refused
+        S = PowerSeries({}, tail=GeometricTail(0, 1, Fraction(1, 2),
+                                               Fraction(1)))
+        assert S.max_degree == 0 and not S.complete
+        with pytest.raises(ValueError, match="from degree 0 are not stored"):
+            eval_series(S, StepKernel.constant(Fraction(1, 2)), 0)
+
     def test_divergence_witness_descends(self):
         # alternating triangle-power / star series evaluated at 3 * edge kernel
         slices = {}
@@ -191,6 +201,81 @@ class TestSeriesArithmetic:
                                limits=WIDE_LIMITS)
         base, _ = eval_series(S, StepKernel.constant(1), 6, limits=WIDE_LIMITS)
         assert value == 2 * base
+
+    @staticmethod
+    def _poly(*terms):
+        return PowerSeries.polynomial(QuantumGraph(terms))
+
+    def test_sum_and_difference_of_polynomials(self):
+        A = self._poly((single_edge(), 2), (complete_graph(3), Fraction(1, 3)))
+        B = self._poly((single_edge(), 5), (path_graph(2), -1))
+        total, difference = A + B, A - B
+        assert total.complete and total.tail is None
+        assert total.slices == {
+            1: QuantumGraph.from_graph(single_edge(), 7),
+            2: QuantumGraph.from_graph(path_graph(2), -1),
+            3: QuantumGraph.from_graph(complete_graph(3), Fraction(1, 3))}
+        assert difference.complete and difference.tail is None
+        assert difference.slices == {
+            1: QuantumGraph.from_graph(single_edge(), -3),
+            2: QuantumGraph.from_graph(path_graph(2), 1),
+            3: QuantumGraph.from_graph(complete_graph(3), Fraction(1, 3))}
+        assert (A - A).slices == {} and (A - A).complete
+
+    def test_polynomial_below_the_tail_scales_it_exactly(self):
+        # past degree 3 only S contributes, so its tail is scaled by |c|
+        S = geometric_triangle_series()
+        P = self._poly((single_edge(), 4), (complete_graph(3), 1))
+        assert (P - S).tail == GeometricTail(21, 3, Fraction(1, 2),
+                                             Fraction(1, 128))
+        combined = P.linear_combination(S, 3, Fraction(-5, 2))
+        assert combined.tail == GeometricTail(21, 3, Fraction(1, 2),
+                                              Fraction(5, 256))
+        assert not combined.complete and not combined.tail.is_bound
+        assert (S + P).tail == S.tail
+        assert (P - S).slice(3) == QuantumGraph.from_graph(
+            complete_graph(3), Fraction(1, 2))
+
+    def test_polynomial_reaching_the_tail_start_drops_it(self):
+        S = geometric_triangle_series()
+        P = self._poly((k3_power(7), 1))
+        for total in (P + S, S - P):
+            assert total.tail is None and not total.complete
+            assert total.max_degree == 21
+
+    def test_tails_on_different_grids_are_dropped(self):
+        S = geometric_triangle_series()
+        shifted = PowerSeries({0: QuantumGraph.unit()},
+                              tail=GeometricTail(3, 3, Fraction(1, 2),
+                                                 Fraction(1)))
+        strided = PowerSeries({0: QuantumGraph.unit()},
+                              tail=GeometricTail(21, 1, Fraction(1, 2),
+                                                 Fraction(1)))
+        for other in (shifted, strided):
+            total = S + other
+            assert total.tail is None and not total.complete
+
+    def test_incomplete_side_without_a_tail_gives_none(self):
+        S = geometric_triangle_series()
+        bare = PowerSeries({3: QuantumGraph.from_graph(complete_graph(3))},
+                           complete=False)
+        P = self._poly((single_edge(), 1))
+        for total in (S + bare, bare - S, P + bare, bare - P):
+            assert total.tail is None and not total.complete
+        assert (P + bare).slices == {
+            1: QuantumGraph.from_graph(single_edge()),
+            3: QuantumGraph.from_graph(complete_graph(3))}
+
+    def test_product_tail_with_the_polynomial_on_the_right(self):
+        # S's norms are 2^-m at degree 3m; with P = 1 + K3/5 the product's
+        # norm at 3m is 2^-m (1 + 2/5), so at degree 21 it is 7/640
+        S = geometric_triangle_series()
+        P = self._poly((Multigraph(0), 1), (complete_graph(3), Fraction(1, 5)))
+        expected = GeometricTail(21, 3, Fraction(1, 2), Fraction(7, 640),
+                                 is_bound=True)
+        assert (S * P).tail == expected
+        assert (P * S).tail == expected
+        assert (S * P).max_degree == 18
 
     def test_product_radius_at_least_min(self):
         S = geometric_triangle_series()
