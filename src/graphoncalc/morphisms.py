@@ -447,7 +447,8 @@ def surjection_total_order(classes) -> list[Multigraph]:
 
 
 @lru_cache(maxsize=64)
-def surjection_counts(n: int, limits: Limits):
+def surjection_counts(n: int, limits: Limits) -> tuple[
+        tuple[Multigraph, ...], tuple[tuple[int, ...], ...]]:
     """The unlabelled n-edge classes in `surjection_total_order`, and the
     table S of their surjection counts, S[i][j] = |Surj(classes[i],
     classes[j])|, both as tuples.  One `surjection_table`, searched once per
