@@ -19,8 +19,8 @@ from . import (DerivativeRequest, Limits, count_aut, count_hom, count_surj,
                graph_signature, graph_to_json, kernel_from_json,
                kernel_to_json, labelled_density, lagrange_interpolate,
                pi_fiber_oracle, pi_formula, pins_from_json, quantum_from_json,
-               quantum_to_json, sidorenko_star_check, surjection_total_order,
-               tensor_product, verify_structure, whitney_matrix)
+               quantum_to_json, sidorenko_star_check, tensor_product,
+               verify_structure, whitney_matrix)
 from .limits import CapExceeded, flag
 from .series import PowerSeries, eval_series
 from .stepkernel import StepKernel
@@ -265,14 +265,12 @@ def _cmd_pi(args, limits) -> int:
         matrix = pi_fiber_oracle(args.n, args.k, p, limits=limits)
     else:
         matrix = pi_formula(args.n, args.k, limits=limits)
-    order = tuple(surjection_total_order(matrix.classes))
-    rows = matrix.rows(order)
-    payload = {"n": matrix.n, "k": matrix.k,
-               "classes": [graph_signature(g) for g in order],
-               "rows": rows}
-    lines = ["columns: " + " | ".join(graph_signature(g) for g in order)]
-    for g, row in zip(order, rows):
-        lines.append(f"{graph_signature(g):32s} " + " ".join(map(str, row)))
+    names = [graph_signature(g) for g in matrix.classes]
+    rows = matrix.rows()
+    payload = {"n": matrix.n, "k": matrix.k, "classes": names, "rows": rows}
+    lines = ["columns: " + " | ".join(names)]
+    for name, row in zip(names, rows):
+        lines.append(f"{name:32s} " + " ".join(map(str, row)))
     _emit(args, payload, "\n".join(lines))
     return 0
 

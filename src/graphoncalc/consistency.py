@@ -30,7 +30,8 @@ from operator import mul
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
 from .limits import DEFAULT_LIMITS, Limits
-from .morphisms import surjection_counts, surjection_table
+from .morphisms import (surjection_counts, surjection_table,
+                        surjection_total_order)
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, strip_isolated,
                          stripped_keys)
@@ -39,9 +40,10 @@ from .series import QuantumGraph, surjection_matrix
 
 @dataclass(frozen=True)
 class ConsistencyMatrix:
-    """Nonnegative integer matrix over the n-edge classes; entry (g, h) is
-    nonzero only when a representative of h surjects onto one of g, and the
-    diagonal is strictly positive."""
+    """Nonnegative integer matrix over the n-edge classes, listed in
+    `surjection_total_order`; entry (g, h) is nonzero only when a
+    representative of h surjects onto one of g, so `rows()` is upper
+    triangular, and the diagonal is strictly positive."""
 
     n: int
     k: int
@@ -62,8 +64,7 @@ class ConsistencyMatrix:
 
 @lru_cache(maxsize=64)
 def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
-    classes = enumerate_Hn(n, limits=limits)
-    table = surjection_table(classes, classes, k, limits=limits)
+    classes, table = surjection_table(n, 0, k, limits=limits)
     entries: dict[tuple[bytes, bytes], int] = {}
     for i, (H, row) in enumerate(zip(classes, table)):
         # the surjections of H onto itself are its automorphisms, each
@@ -92,11 +93,12 @@ def pi_formula(n: int, k: int, *,
     of h onto one G of g, the product over G-vertices of the falling
     factorial of k at the fiber size, divided by |Aut(H)| (exactly).
 
-    The sums are one `surjection_table` over the classes, so a pair is
-    searched only where G can be a quotient of H: H with more vertices and
-    at least as many distinct pairs as G, or H isomorphic to G.  |Aut(H)| is
-    the sum of H onto itself divided by k^|V(H)|, so it needs no search of
-    its own; ArithmeticError if that or any entry does not divide exactly."""
+    The sums are `surjection_table(n, 0, k)`, whose class order the matrix
+    keeps, so a pair is searched only where G can be a quotient of H: H
+    with more vertices and at least as many distinct pairs as G, or H
+    isomorphic to G.  |Aut(H)| is the sum of H onto itself divided by
+    k^|V(H)|, so it needs no search of its own; ArithmeticError if that or
+    any entry does not divide exactly."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     return _pi_formula_cached(n, k, limits)
@@ -105,13 +107,14 @@ def pi_formula(n: int, k: int, *,
 def pi_fiber_oracle(n: int, k: int, p: int, *,
                     limits: Limits = DEFAULT_LIMITS) -> ConsistencyMatrix:
     """Direct route: expand one basis tuple per class into all k^(2n) refined
-    tuples and count how many land in each class."""
+    tuples and count how many land in each class.  The classes are listed
+    in `surjection_total_order`, as `pi_formula` lists them."""
     if p < 2 * n:
         raise ValueError("the fiber construction needs p >= 2n")
     if k ** (2 * n) > limits.max_index_tuples:
         raise limits.exceeded("max_index_tuples",
                               f"k^(2n) = {k ** (2 * n)} index tuples")
-    classes = enumerate_Hn(n, limits=limits)
+    classes = tuple(surjection_total_order(enumerate_Hn(n, limits=limits)))
     keys = {canonical_key(g) for g in classes}
     entries: dict[tuple[bytes, bytes], int] = {
         (gk, hk): 0 for gk in keys for hk in keys}
@@ -212,14 +215,14 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
             raise ValueError(f"{name} must be at least {least}")
     checks: list[StructureCheck] = []
     classes = enumerate_Hn(n, limits=limits)
-    # S and the scale matrices are indexed in the surjection order, so (a)'s
-    # triangularity compares indices; (c) and (e) keep the listing order of
-    # the columns of `surjection_matrix`, which fixes (c)'s sign
+    # S and the scale matrices list the classes in the surjection order, so
+    # (a)'s triangularity compares indices; (c) and (e) keep the listing
+    # order of the columns of `surjection_matrix`, which fixes (c)'s sign
     ordered, counts = surjection_counts(n, limits)
 
     pi_rows = {}
     for k in range(1, k_max + 1):
-        rows = pi_rows[k] = pi_formula(n, k, limits=limits).rows(ordered)
+        rows = pi_rows[k] = pi_formula(n, k, limits=limits).rows()
         details = []
         for a, row in enumerate(rows):
             for b, value in enumerate(row):

@@ -291,7 +291,7 @@ def multiplicativity_check(h1: Multigraph, h2: Multigraph, f: StepKernel, *,
 def pins_from_json(obj: Mapping) -> dict[int, Fraction]:
     try:
         return {int(lab): Fraction(str(x)) for lab, x in obj.items()}
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pins object: {exc}") from exc
 
 

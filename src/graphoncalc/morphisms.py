@@ -68,24 +68,25 @@ symmetry of swapping twins (Crawford, Ginsberg, Luks and Roy,
 "Symmetry-breaking predicates for search problems", KR 1996).
 
 The Whitney matrices, the scale matrices and Taylor recovery all need a
-table of counts between classes that share one edge count n, and
-`surjection_table` fills one, searching only the pairs that can be
-quotients (Lovász, *Large Networks and Graph Limits*, 2012, ch. 5-6).  A
-surjection h ->> g maps n edges onto n edges, so its edge map is a
-bijection.  If also |V(h)| = |V(g)|, its vertex map is a bijection too,
-and the surjection is an isomorphism.  So a pair is searched only when
-|V(h)| > |V(g)| and h has at least as many distinct pairs as g, or when
-the two are isomorphic (equal canonical keys).  Every other entry is an
-exact 0 and costs no call.  When the classes are labelled (k >= 2) and the
-sources are the targets, relabelling both graphs of a pair by one
-permutation of the labels keeps its count.  So one pair per orbit is
-searched, and the orbit is filled by closure under the index maps of the
-permutations (1 2) and (1 2 ... k), which generate them all; the maps
-cost at most two relabelled `canonical_key`s per class.  Whitney(4, 2) searches
-14,839 of its 78,961 pairs this way, and 8,215 of those pass the tests
-above.  The unlabelled table S of one edge count, behind Taylor recovery
-and the structure report, is `surjection_counts`: searched once per edge
-count in a process and read by both.
+table of counts between the classes of one edge count n, and
+`surjection_table(n, labels, k)` builds every one of them: it lists the
+classes itself, in `surjection_total_order`, and searches only the pairs
+that can be quotients (Lovász, *Large Networks and Graph Limits*, 2012,
+ch. 5-6).  A surjection h ->> g maps n edges onto n edges, so its edge map
+is a bijection.  If also |V(h)| = |V(g)|, its vertex map is a bijection
+too, and the surjection is an isomorphism.  So a pair is searched only
+when |V(h)| > |V(g)| and h has at least as many distinct pairs as g, or
+when h is g; in that order such a g comes before h, so the table is lower
+triangular.  Every other entry is an exact 0 and costs no call.  With two
+or more labels, relabelling both graphs of a pair by one permutation of
+the labels keeps its count, and a full class list is closed under it.  So
+one pair per orbit is searched, and the orbit is filled by closure under
+the index maps of the permutations (1 2) and (1 2 ... k), which generate
+them all; the maps cost at most two relabelled `canonical_key`s per class.
+Whitney(4, 2) searches 14,839 of its 78,961 pairs this way, and 8,215 of
+those pass the tests above.  The unlabelled table S of one edge count,
+behind Taylor recovery and the structure report, is `surjection_counts`:
+searched once per edge count in a process and read by both.
 
 What the counts need of a graph is one `_Record`, built the first time the
 graph is counted and kept on the graph (`Multigraph._record`), so a pair
@@ -98,7 +99,6 @@ plan.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -356,69 +356,49 @@ def surjection_weight_sum(h: Multigraph, g: Multigraph, k: int, *,
 
 
 def _label_moves(classes: Sequence[Multigraph],
-                 index: dict[bytes, int]) -> list[list[int]]:
-    """Index maps of the label permutations (1 2) and (1 2 ... k) on a class
-    list, each as the list of image indices; none when k < 2 or the list is
-    not closed under relabelling."""
-    k = classes[0].k if classes else 0
-    if k < 2:
+                 labels: int) -> list[list[int]]:
+    """Index maps of the label permutations (1 2) and (1 2 ... k) on a full
+    class list, each as the list of image indices; none when k < 2."""
+    if labels < 2:
         return []
+    index = {canonical_key(g): j for j, g in enumerate(classes)}
     swap = {1: 2, 2: 1}
-    perms = [swap] if k == 2 else [swap, {lab: lab % k + 1
-                                           for lab in range(1, k + 1)}]
+    perms = [swap] if labels == 2 else [swap, {lab: lab % labels + 1
+                                               for lab in range(1, labels + 1)}]
     moves = []
     for label_perm in perms:
-        move = []
-        for g in classes:
-            image = Multigraph(g.vertex_count,
-                               [(u, v, m) for (u, v), m in g.pairs],
-                               {label_perm.get(lab, lab): v
-                                for lab, v in g.labels})
-            j = index.get(canonical_key(image))
-            if j is None:
-                return []
-            move.append(j)
-        moves.append(move)
+        images = (Multigraph(g.vertex_count,
+                             [(u, v, m) for (u, v), m in g.pairs],
+                             {label_perm.get(lab, lab): v
+                              for lab, v in g.labels})
+                  for g in classes)
+        moves.append([index[canonical_key(image)] for image in images])
     return moves
 
 
-def surjection_table(sources: Sequence[Multigraph],
-                     targets: Sequence[Multigraph], k: int | None = None, *,
-                     limits: Limits = DEFAULT_LIMITS) -> list[list[int]]:
-    """Entry [i][j] is `count_surj(sources[i], targets[j])`, or
-    `surjection_weight_sum(sources[i], targets[j], k)` when k is given.
+def surjection_table(n: int, labels: int = 0, k: int | None = None, *,
+                     limits: Limits = DEFAULT_LIMITS) -> tuple[
+        tuple[Multigraph, ...], tuple[tuple[int, ...], ...]]:
+    """The `labels`-labelled n-edge classes in `surjection_total_order`, and
+    the table of their counts, entry [i][j] `count_surj(classes[i],
+    classes[j])`, or `surjection_weight_sum(classes[i], classes[j], k)` when
+    k is given, both as tuples.
 
-    The classes of each list must be distinct, and all of them must share
-    one edge count and one label count.  Only the pairs that can be
-    quotients are searched (module docstring); a labelled list that is both
-    the sources and the targets is searched once per label-permutation
-    orbit of pairs.
+    In this order the table is lower triangular: a class surjects onto
+    another only if that one comes first.  Only the pairs that can be
+    quotients are searched (module docstring), and with two or more labels
+    one pair per label-permutation orbit of pairs.
     """
     if k is not None and k < 0:
         raise ValueError("k must be at least 0")
-    graphs = [*sources, *targets]
-    if len({g.edge_count for g in graphs}) > 1:
-        raise ValueError("a surjection table needs one edge count")
-    if len({g.k for g in graphs}) > 1:
-        raise ValueError("label counts must agree (pad the smaller graph first)")
-    source_keys = [canonical_key(h) for h in sources]
-    target_keys = [canonical_key(g) for g in targets]
-    index = {key: j for j, key in enumerate(target_keys)}
-    if (len(set(source_keys)) < len(source_keys)
-            or len(index) < len(target_keys)):
-        raise ValueError("a surjection table needs distinct classes")
-    moves = _label_moves(targets, index) if source_keys == target_keys else []
-    by_size = sorted(range(len(targets)),
-                     key=lambda j: targets[j].vertex_count)
-    sizes = [targets[j].vertex_count for j in by_size]
-    table = [[0] * len(targets) for _ in sources]
+    classes = tuple(surjection_total_order(enumerate_Hn(n, labels,
+                                                        limits=limits)))
+    moves = _label_moves(classes, labels)
+    table = [[0] * len(classes) for _ in classes]
     done: set[tuple[int, int]] = set()
-    for i, h in enumerate(sources):
-        smaller = by_size[:bisect_left(sizes, h.vertex_count)]
-        same = index.get(source_keys[i])
-        for j in smaller + ([] if same is None else [same]):
-            g = targets[j]
-            if len(g.pairs) > len(h.pairs) or (i, j) in done:
+    for i, h in enumerate(classes):
+        for j, g in enumerate(classes[:i + 1]):
+            if (j < i and g.vertex_count >= h.vertex_count) or (i, j) in done:
                 continue
             value = (count_surj(h, g, limits=limits) if k is None else
                      surjection_weight_sum(h, g, k, limits=limits))
@@ -435,7 +415,7 @@ def surjection_table(sources: Sequence[Multigraph],
                         done.add(pair)
                         table[pair[0]][pair[1]] = value
                         orbit.append(pair)
-    return table
+    return classes, tuple(map(tuple, table))
 
 
 def surjection_total_order(classes) -> list[Multigraph]:
@@ -449,14 +429,11 @@ def surjection_total_order(classes) -> list[Multigraph]:
 @lru_cache(maxsize=64)
 def surjection_counts(n: int, limits: Limits) -> tuple[
         tuple[Multigraph, ...], tuple[tuple[int, ...], ...]]:
-    """The unlabelled n-edge classes in `surjection_total_order`, and the
-    table S of their surjection counts, S[i][j] = |Surj(classes[i],
-    classes[j])|, both as tuples.  One `surjection_table`, searched once per
-    edge count (and `limits`) in a process and read by
+    """The unlabelled n-edge classes and their table S, S[i][j] =
+    |Surj(classes[i], classes[j])|: `surjection_table(n)`, searched once
+    per edge count (and `limits`) in a process and read by
     `series.surjection_matrix` and `consistency.verify_structure` alike."""
-    classes = tuple(surjection_total_order(enumerate_Hn(n, limits=limits)))
-    table = surjection_table(classes, classes, limits=limits)
-    return classes, tuple(map(tuple, table))
+    return surjection_table(n, limits=limits)
 
 
 def t_combinatorial(h: Multigraph, g: Multigraph, *,

@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from . import linalg
 from .density import Pins, density, labelled_density, part_of
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import (surjection_counts, surjection_table,
-                        surjection_total_order)
+from .morphisms import surjection_counts, surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
                          graph_signature, graph_to_json, pad_labels,
@@ -171,7 +170,7 @@ def quantum_from_json(obj: Mapping) -> QuantumGraph:
         k = int(obj.get("k", 0))
         terms = [(graph_from_json(t["graph"]), Fraction(str(t["coeff"])))
                  for t in obj.get("terms", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed quantum graph object: {exc}") from exc
     return QuantumGraph(terms, k=k)
 
@@ -532,9 +531,11 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
     derivatives at the zero kernel, degree by degree.
 
     `oracle` maps a tuple of m direction kernels to the exact m-th derivative
-    at 0 along them; the empty tuple is the value at 0.  Needs p >= 2N so the
-    per-degree systems are square and invertible.
+    at 0 along them; the empty tuple is the value at 0.  Needs N >= 0, and
+    p >= 2N so the per-degree systems are square and invertible.
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative")
     if p < max(2, 2 * N):
         raise ValueError("need p >= 2N (and p >= 2)")
     degree_coeffs = []
@@ -576,8 +577,8 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
 @dataclass(frozen=True)
 class WhitneyMatrix:
     """Label-respecting surjection counts |Surj(H, G)| / p^|V0(H)| over the
-    k-labelled n-edge classes; triangular under the surjection order with a
-    positive diagonal, hence invertible."""
+    k-labelled n-edge classes, listed in `surjection_total_order`; so the
+    rows are lower triangular with a positive diagonal, hence invertible."""
 
     n: int
     k: int
@@ -589,24 +590,20 @@ class WhitneyMatrix:
     def determinant(self) -> Fraction:
         """The product of the diagonal.
 
-        Re-indexing rows and columns alike by `surjection_total_order` keeps
-        the determinant, and makes the matrix lower triangular: H surjects
-        onto G only if G comes first.  Every entry above the diagonal is
+        In the surjection order H surjects onto G only if G comes first, so
+        the matrix is lower triangular.  Every entry above the diagonal is
         checked to be 0 first.
         """
-        position = {canonical_key(g): i for i, g in enumerate(self.classes)}
-        order = [position[canonical_key(g)]
-                 for g in surjection_total_order(self.classes)]
-        for a, i in enumerate(order):
-            row = self.rows[i]
-            for j in order[a + 1:]:
+        for i, row in enumerate(self.rows):
+            for j in range(i + 1, len(row)):
                 if row[j]:
                     raise ArithmeticError(
                         f"entry ({graph_signature(self.classes[i])}, "
                         f"{graph_signature(self.classes[j])}) is {row[j]}, "
                         f"above the diagonal of the surjection order; "
                         f"morphism counting is inconsistent")
-        return math.prod((self.rows[i][i] for i in order), start=Fraction(1))
+        return math.prod((row[i] for i, row in enumerate(self.rows)),
+                         start=Fraction(1))
 
 
 def whitney_parts(n: int, pins: Pins) -> int:
@@ -633,10 +630,10 @@ def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = Non
     """The Whitney matrix of the k-labelled n-edge classes at p parts.
 
     p defaults to `whitney_parts`; an explicit p must be at least 1 and put
-    each pin strictly inside a part of its own, else ValueError.  The counts
-    are one `surjection_table` over the classes: only pairs that can be
-    quotients are searched, and with k >= 2 only one pair per orbit of the
-    label permutations.
+    each pin strictly inside a part of its own, else ValueError.  The
+    classes and counts are `surjection_table(n, k)`, in its order: only
+    pairs that can be quotients are searched, and with k >= 2 only one pair
+    per orbit of the label permutations.
     """
     pins = {int(lab): _to_fraction(x) for lab, x in (pins or {}).items()}
     if sorted(pins) != list(range(1, k + 1)):
@@ -649,8 +646,7 @@ def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = Non
         parts = [part_of(x, p) for x in pins.values()]
         if len(set(parts)) < len(parts):
             raise ValueError(f"pins must lie in distinct parts at {p} parts")
-    classes = enumerate_Hn(n, k, limits=limits)
-    table = surjection_table(classes, classes, limits=limits)
+    classes, table = surjection_table(n, k, limits=limits)
     rows = tuple(tuple(_count_entry(count, p ** (H.vertex_count - k))
                        for count in counts)
                  for H, counts in zip(classes, table))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 from fractions import Fraction
@@ -43,6 +44,22 @@ class TestExitCodes:
         kern = files("kern.json", _kernel_json())
         assert run(["density", "--graph", bad, "--kernel", kern]) == 1
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["taylor-recover", "--F", "array", "-N", "1"],
+        ["series-eval", "--terms", "array", "--kernel", "kernel", "-N", "1"],
+        ["density", "--graph", "graph", "--kernel", "kernel",
+         "--pins", "array"]])
+    def test_json_array_is_invalid_input(self, files, capsys, argv):
+        # a JSON array where an object is expected is malformed input, as
+        # it already is for --graph and --kernel
+        paths = {"array": files("array.json", [1, 2]),
+                 "graph": files("graph.json", _k2_json()),
+                 "kernel": files("kernel.json", _kernel_json())}
+        assert run([paths.get(x, x) for x in argv]) == 1
+        err = capsys.readouterr().err
+        assert "invalid input: malformed" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["-n", "0"], ["-n", "2", "-k", "1"], ["-n", "2", "-k", "0"],
@@ -248,6 +265,14 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matches_input"] is True
 
+    def test_taylor_recover_refuses_negative_degree(self, files, capsys):
+        F = files("F.json", quantum_to_json(
+            QuantumGraph.from_graph(single_edge(), 3)))
+        assert run(["taylor-recover", "--F", F, "-N", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "N must be nonnegative" in captured.err
+
     def test_whitney(self, capsys):
         assert run(["whitney", "-n", "2"]) == 0
         assert "determinant" in capsys.readouterr().out
@@ -284,3 +309,28 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert out.startswith("1/2")
         assert "tail bound 1/8" in out
+
+
+class TestPinnedOutputs:
+    """The sha256 of stdout of the CLI outputs a change to the tables or
+    the structure report should leave alone; `whitney` lists its classes
+    in the surjection order, so its matrices print lower triangular."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["verify", "consistency", "-n", "3"],
+         "b39a1a0ef9e28b79b9a3fc6fa850e5544613104cc4f7f4c075d7cb57797310fb"),
+        (["--format", "json", "verify", "consistency", "-n", "4"],
+         "07af64615f19c6bb74758502ece64ff8099805f9a7cc3886d2217c6a432ffb9b"),
+        (["pi", "-n", "4", "-k", "2"],
+         "9aaacea0a73700065ce0e278e228ebc6ac0830cd369a0e8039c4a77b23ce45a6"),
+        (["pi", "-n", "3", "-k", "3", "--oracle"],
+         "52e445398c548f298485c61130b1c2cdd2e5ad44a38dfd7da19926a495e3c8d1"),
+        (["whitney", "-n", "3", "-k", "1", "--pins", "1/3"],
+         "ce9dc11170a8fb570d885577a2a62c77be0400c54bf5b43e2caa2b85160f752a"),
+        (["whitney", "-n", "2", "-k", "2", "--pins", "1/3", "2/3"],
+         "e3a2e3dabcfc4070f2e5cfead999e6f60917d9ba61165ccd9ef312cb4c63a6bf"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -46,10 +46,9 @@ class TestPiFormula:
     def test_crooked_diagonal_raises(self, monkeypatch):
         table = consistency.surjection_table
 
-        def crooked(sources, targets, k=None, *, limits=DEFAULT_LIMITS):
-            rows = table(sources, targets, k, limits=limits)
-            rows[0][0] += 1
-            return rows
+        def crooked(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            classes, rows = table(n, labels, k, limits=limits)
+            return classes, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
 
         monkeypatch.setattr(consistency, "surjection_table", crooked)
         consistency._pi_formula_cached.cache_clear()
@@ -208,15 +207,16 @@ class TestStructureReport:
         # corruption, so no other test reads the corrupted table
         table = morphisms.surjection_table
 
-        def corrupted(sources, targets, k=None, *, limits=DEFAULT_LIMITS):
-            counts = table(sources, targets, k, limits=limits)
+        def corrupted(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            classes, table_rows = table(n, labels, k, limits=limits)
+            counts = [list(row) for row in table_rows]
             if k is None:
                 # the last class in surjection order has the most simple
                 # edges and vertices: add 1 to its count onto a quotient
                 i = len(counts) - 1
                 j = next(j for j, c in enumerate(counts[i]) if c and j != i)
                 counts[i][j] += 1
-            return counts
+            return classes, counts
 
         monkeypatch.setattr(morphisms, "surjection_table", corrupted)
         morphisms.surjection_counts.cache_clear()

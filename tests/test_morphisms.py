@@ -254,10 +254,10 @@ class TestRandomPairsAgainstOracles:
         # pairs that pass the count and degree tests; the surjection table
         # skips the pairs that cannot be quotients, and with two labels
         # searches one pair per label-swap orbit
-        for classes in (enumerate_Hn(4), enumerate_Hn(3, 1),
-                        enumerate_Hn(3, 2)):
+        for n, labels in ((4, 0), (3, 1), (3, 2)):
             for k in (1, 2, 3):
-                table = surjection_table(classes, classes, k)
+                classes, table = surjection_table(n, labels, k)
+                assert len(classes) == len(enumerate_Hn(n, labels))
                 for h, row in zip(classes, table):
                     for g, entry in zip(classes, row):
                         expected = backtrack_surjection_weight_sum(h, g, k)
@@ -276,20 +276,6 @@ class TestSurjectionTable:
             for G, entry in zip(W.classes, row):
                 assert entry * scale == backtrack_surj(H, G)
 
-    def test_sources_other_than_targets(self):
-        # as surjection_matrix uses it: the targets are the sources with at
-        # most 4 vertices
-        sources = enumerate_Hn(3)
-        targets = [g for g in sources if g.vertex_count <= 4]
-        assert surjection_table(sources, targets) == [
-            [count_surj(h, g) for g in targets] for h in sources]
-
-    def test_list_not_closed_under_relabelling(self):
-        # no label orbits are used where a relabelled class is missing
-        classes = enumerate_Hn(2, 2)[::3]
-        assert surjection_table(classes, classes) == [
-            [count_surj(h, g) for g in classes] for h in classes]
-
     @staticmethod
     def _searched(monkeypatch) -> list:
         searched = []
@@ -303,8 +289,9 @@ class TestSurjectionTable:
 
     def test_whitney_4_2_searches(self, monkeypatch):
         # 78,961 pairs: 14,839 calls of the search, of which 8,215 pass the
-        # pre-search tests; the rows are those of the pairwise loop the table
-        # replaced, at the benchmark's pins and parts
+        # pre-search tests; re-indexed to the enumeration order, the rows
+        # are those of the pairwise loop the table replaced, at the
+        # benchmark's pins and parts
         searched = self._searched(monkeypatch)
         W = whitney_matrix(4, 2, {1: Fraction(7, 31), 2: Fraction(29, 37)},
                            p=13, limits=WIDE_LIMITS)
@@ -313,8 +300,13 @@ class TestSurjectionTable:
         assert all(h.vertex_count > g.vertex_count
                    or canonical_key(h) == canonical_key(g)
                    for h, g in searched)
-        assert hashlib.sha256(repr(W.rows).encode()).hexdigest() == (
+        position = {canonical_key(g): i for i, g in enumerate(W.classes)}
+        order = [position[canonical_key(g)] for g in enumerate_Hn(4, 2)]
+        listed = tuple(tuple(W.rows[i][j] for j in order) for i in order)
+        assert hashlib.sha256(repr(listed).encode()).hexdigest() == (
             "d202270e524bf873483461f02007702e644de8d09a241d8a4353bb95a73c5417")
+        assert hashlib.sha256(repr(W.rows).encode()).hexdigest() == (
+            "c584661bf1c649dda2c81c2faa1a5b80d203bcb0ac85583cf58fab25322f1c8d")
 
     def test_pi_4_2_searches(self, monkeypatch):
         # 23 classes: 219 of the 529 pairs, and no automorphism count (|Aut|
@@ -327,27 +319,41 @@ class TestSurjectionTable:
                    or canonical_key(h) == canonical_key(g)
                    for h, g in searched)
 
-    def test_a_proven_zero_needs_no_search(self):
+    def test_a_proven_zero_needs_no_search(self, monkeypatch):
         # the 3-path and the 3-star have 4 vertices each, so neither is a
         # quotient of the other; count_surj searches the pair (it passes the
-        # degree tests), and max_maps=0 refuses any search
-        h, g = path_graph(3), star_graph(3)
+        # degree tests, and max_maps=0 refuses any search), the table never
+        # does
+        path, star = canonical_key(path_graph(3)), canonical_key(star_graph(3))
         with pytest.raises(CapExceeded):
-            count_surj(h, g, limits=Limits(max_maps=0))
-        assert surjection_table([h], [g], limits=Limits(max_maps=0)) == [[0]]
+            count_surj(path_graph(3), star_graph(3), limits=Limits(max_maps=0))
+        searched = self._searched(monkeypatch)
+        classes, table = surjection_table(3)
+        keys = [canonical_key(g) for g in classes]
+        assert table[keys.index(path)][keys.index(star)] == 0
+        assert searched
+        assert not [(h, g) for h, g in searched
+                    if {canonical_key(h), canonical_key(g)} == {path, star}]
 
-    @pytest.mark.parametrize("sources, targets, message", [
-        ([single_edge()], [path_graph(2)], "one edge count"),
-        ([single_edge(), single_edge()], [single_edge()], "distinct"),
-        ([single_edge()], [Multigraph(2, [(0, 1)], {1: 0})], "label counts"),
-    ])
-    def test_refused_lists(self, sources, targets, message):
-        with pytest.raises(ValueError, match=message):
-            surjection_table(sources, targets)
+    @pytest.mark.parametrize("matrix", [
+        lambda: whitney_matrix(3, 1, {1: Fraction(1, 3)}).rows,
+        lambda: whitney_matrix(2, 2, {1: Fraction(1, 3),
+                                      2: Fraction(2, 3)}).rows,
+        lambda: whitney_matrix(3, 0).rows,
+        # entry (g, h) of a scale matrix counts h onto g: the transpose
+        lambda: list(zip(*pi_formula(3, 2).rows()))])
+    def test_lower_triangular_as_listed(self, matrix):
+        # the classes come in the surjection order, so no entry above the
+        # diagonal is nonzero and the diagonal is positive
+        rows = matrix()
+        assert len(rows) > 1
+        for i, row in enumerate(rows):
+            assert row[i] > 0
+            assert not any(row[i + 1:])
 
     def test_negative_fiber_cap_raises(self):
         with pytest.raises(ValueError):
-            surjection_table([single_edge()], [single_edge()], -1)
+            surjection_table(1, 0, -1)
 
 
 class TestWorkCap:
