@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -63,10 +64,13 @@ def _limits(args) -> Limits:
 
 
 def _emit(args, payload: dict, table: str):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(table)
+    try:
+        print(json.dumps(payload, indent=2) if args.format == "json" else table,
+              flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`| head`): point stdout at the null device,
+        # so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> _Parser:
@@ -263,6 +267,8 @@ def _cmd_pi(args, limits) -> int:
     if args.oracle:
         p = args.p if args.p is not None else 2 * args.n
         matrix = pi_fiber_oracle(args.n, args.k, p, limits=limits)
+    elif args.p is not None:
+        raise UsageError("-p applies only with --oracle")
     else:
         matrix = pi_formula(args.n, args.k, limits=limits)
     names = [graph_signature(g) for g in matrix.classes]

@@ -12,11 +12,11 @@ check each other.
 scale-change relation (d) is one integer identity per k,
 Pi_k S = S diag(k^|V(H)|) with S[H][g] = |Surj(H, g)|; it reads no scale,
 so it holds at every p.  S is `morphisms.surjection_counts`, searched once
-per edge count in a process, and Taylor recovery reads the same table.
-Check (e) ties it to the derivatives: the n-th derivative of t(H, .) at 0
-on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, which is column H
-of `series.surjection_matrix(n, p)`, the matrix Taylor recovery solves; (e)
-compares the two at every scale the report reads, which its detail names.
+per edge count in a process, and Taylor recovery back-substitutes on the
+same table.  Check (e) ties it to the derivatives: the n-th derivative of
+t(H, .) at 0 on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, which
+is column H of `series.surjection_matrix(n, p)`, read from S; (e) checks S
+through it at every scale the report reads, which its detail names.
 """
 
 from __future__ import annotations
@@ -202,8 +202,9 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
 
     S is read from `surjection_counts`, searched once per edge count in a
     process and shared with `surjection_matrix`, so the report runs no
-    surjection search of its own beyond that table and the scale matrices,
-    and (e) checks the very matrix Taylor recovery solves.  With (e), (d)
+    surjection search of its own beyond that table and the scale matrices.
+    Taylor recovery back-substitutes on S, and (e) checks S through
+    `surjection_matrix` at every scale.  With (e), (d)
     is the relation between the derivative vectors at p and k*p parts, for
     every p.
     """

@@ -432,7 +432,8 @@ def surjection_counts(n: int, limits: Limits) -> tuple[
     """The unlabelled n-edge classes and their table S, S[i][j] =
     |Surj(classes[i], classes[j])|: `surjection_table(n)`, searched once
     per edge count (and `limits`) in a process and read by
-    `series.surjection_matrix` and `consistency.verify_structure` alike."""
+    `series.taylor_recover`, `series.surjection_matrix` and
+    `consistency.verify_structure` alike."""
     return surjection_table(n, limits=limits)
 
 

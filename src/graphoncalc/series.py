@@ -7,8 +7,8 @@ rationals.  Power series are stored as a truncation (one quantum graph per
 degree) plus, optionally, a closed form for the degree norms beyond the
 truncation, which is what the radius of convergence and tail bounds need.
 
-Taylor recovery solves the triangular surjection-count system: the matrix
-side comes from exact morphism counting, the vector side from whatever
+Taylor recovery back-substitutes on the triangular surjection-count table
+S: the table comes from exact morphism counting, the values from whatever
 derivative oracle the caller supplies, so the two routes stay independent.
 """
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from . import linalg
 from .density import Pins, density, labelled_density, part_of
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
 from .morphisms import surjection_counts, surjection_table
@@ -476,7 +475,8 @@ class TaylorReport:
 
 
 def basis_tuple(h: Multigraph, p: int) -> tuple[StepKernel, ...]:
-    """One basis-edge kernel per edge copy of a p-vertex class representative."""
+    """One basis-edge kernel per edge copy of a class representative with
+    at most p vertices; isolated vertices do not change it."""
     if h.vertex_count > p:
         raise ValueError("representative has more vertices than parts")
     return tuple(basis_edge(p, u + 1, v + 1) for u, v in h.edge_slots())
@@ -500,7 +500,9 @@ def surjection_matrix(n: int, p: int, *,
     the n-edge classes, searched once per edge count in a process: each row
     class is a column class padded with isolated vertices (`stripped_keys`),
     so entry (h, H) is S at (H, the class h was padded from).  No call
-    searches a pair of its own.
+    searches a pair of its own.  Taylor recovery back-substitutes on S
+    itself; structure-report check (e) reads S through this matrix at
+    every scale.
     """
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
@@ -532,41 +534,39 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
 
     `oracle` maps a tuple of m direction kernels to the exact m-th derivative
     at 0 along them; the empty tuple is the value at 0.  Needs N >= 0, and
-    p >= 2N so the per-degree systems are square and invertible.
+    p >= 2N so every n-edge class fits in p parts.
+
+    At degree n the oracle on `basis_tuple(g, p)` is the sum over the n-edge
+    classes H of |Surj(H, g)| c_H / p^|V(H)|.  The table S of
+    `surjection_counts(n)` is lower triangular with |Aut(H)| on its
+    diagonal, so the coefficients come out by back substitution from the
+    last class, listed in its order.  The residual is the full product
+    against S, so a nonzero count above the diagonal fails it.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if p < max(2, 2 * N):
         raise ValueError("need p >= 2N (and p >= 2)")
-    degree_coeffs = []
-    residuals = []
+    degree_coeffs = [(0, ((Multigraph(0), oracle(())),))]
+    residuals = [(0, True)]
     checked = False
-    for n in range(N + 1):
-        if n == 0:
-            value = oracle(())
-            empty = Multigraph(0)
-            degree_coeffs.append((0, ((empty, value),)))
-            residuals.append((0, True))
-            continue
-        rows_classes, col_classes, matrix = surjection_matrix(n, p, limits=limits)
-        vector = []
-        for h in rows_classes:
-            dirs = basis_tuple(h, p)
+    for n in range(1, N + 1):
+        classes, S = surjection_counts(n, limits)
+        values = []
+        for g in classes:
+            dirs = basis_tuple(g, p)
             if not checked and len(dirs) >= 2:
                 _spot_check_oracle(oracle, dirs)
                 checked = True
-            vector.append(oracle(dirs))
-        try:
-            coeffs = linalg.solve(matrix, vector)
-        except ValueError as exc:
-            raise ValueError(
-                f"degree-{n} system is singular; the oracle is not a "
-                f"class-function derivative or p is too small") from exc
-        residual = all(
-            sum(matrix[i][j] * coeffs[j] for j in range(len(coeffs))) == vector[i]
-            for i in range(len(vector)))
-        degree_coeffs.append(
-            (n, tuple((g, c) for g, c in zip(col_classes, coeffs))))
+            values.append(oracle(dirs))
+        x = [_ZERO] * len(classes)
+        for j in reversed(range(len(classes))):
+            rest = sum(S[i][j] * x[i] for i in range(j + 1, len(classes)))
+            x[j] = Fraction(values[j] - rest, S[j][j])
+        residual = all(sum(row[j] * xi for row, xi in zip(S, x)) == v
+                       for j, v in enumerate(values))
+        degree_coeffs.append((n, tuple((H, xi * p ** H.vertex_count)
+                                       for H, xi in zip(classes, x))))
         residuals.append((n, residual))
     return TaylorReport(tuple(degree_coeffs), tuple(residuals))
 

@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
 
 from graphoncalc import graph_to_json, kernel_to_json, quantum_to_json
 from graphoncalc import (Limits, Multigraph, QuantumGraph, StepKernel,
-                         complete_graph, graph_from_json, kernel_from_json,
-                         matching, single_edge)
+                         complete_graph, cycle_graph, graph_from_json,
+                         kernel_from_json, matching, parallel_edges,
+                         path_graph, single_edge, star_graph)
 from graphoncalc import cli
 from graphoncalc.cli import run
 from graphoncalc.limits import flag
@@ -104,6 +109,31 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+    def test_pi_refuses_p_without_the_oracle(self, capsys):
+        assert run(["pi", "-n", "3", "-k", "2", "-p", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-p applies only with --oracle" in captured.err
+
+    def test_reader_closing_early_prints_no_traceback(self):
+        """A reader that stops after one line (`| head -1`) leaves the exit
+        code alone and sees no traceback.  The JSON listing of the 7-edge
+        classes (~260 kB) overfills the pipe, so the command is still
+        writing when the pipe closes."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "graphoncalc.cli", "--format", "json",
+             "enumerate", "-n", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert b"Traceback" not in err
 
 
 class TestCapFlags:
@@ -332,5 +362,26 @@ class TestPinnedOutputs:
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("before, after, digest", [
+        ([], [],
+         "f53645326c84c606e4ccc1e9ca7866f08a9711a9abfc1f166d8118137212af40"),
+        ([], ["-p", "9"],
+         "f53645326c84c606e4ccc1e9ca7866f08a9711a9abfc1f166d8118137212af40"),
+        (["--format", "json"], [],
+         "9ebabe48253701e6dbcb89a22ee7bbbe6354d22839a8a7903a15ee2a557797c3"),
+    ])
+    def test_taylor_recover_digest(self, files, capsys, before, after, digest):
+        paw = Multigraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        graphs = [Multigraph(0), single_edge(), path_graph(2),
+                  parallel_edges(2), complete_graph(3), star_graph(3),
+                  cycle_graph(4), paw]
+        coeffs = ["1", "-2", "3/2", "-4/3", "5/4", "-6/5", "7/6", "-8/7"]
+        F = files("f.json", quantum_to_json(QuantumGraph(
+            (g, Fraction(c)) for g, c in zip(graphs, coeffs))))
+        assert run([*before, "taylor-recover", "--F", F, "-N", "4",
+                    *after]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from graphoncalc import (DecoratedDensity, DerivativeRequest, Multigraph,
                          path_graph, quantum_from_json, quantum_multiply,
                          quantum_to_json, radius_of_convergence, single_edge,
                          star_graph, taylor_recover, whitney_matrix)
+from graphoncalc import series
 from graphoncalc.density import part_of
 from graphoncalc.limits import CapExceeded, WIDE_LIMITS
 from graphoncalc.series import GeometricTail, PowerSeries
@@ -364,6 +365,37 @@ class TestTaylorRecover:
                               for g in support])
             report = taylor_recover(self._oracle_for(F, 6), 3, 6)
             assert report.as_quantum() == F
+
+    def test_one_oracle_call_per_class(self):
+        calls = []
+        report = taylor_recover(lambda dirs: calls.append(dirs) or Fraction(0),
+                                3, 6)
+        assert report.as_quantum().is_zero
+        # the value at 0, the 1 + 3 + 8 classes of 1..3 edges, and the
+        # three calls of the symmetry and linearity spot check
+        assert len(calls) == 1 + 12 + 3
+
+    def test_count_above_the_diagonal_fails_the_residual(self, monkeypatch):
+        """Back substitution reads S on and below its diagonal only; the
+        residual is the full product against S, so a count put above the
+        diagonal fails degree 2 and leaves the coefficients alone."""
+        counts = series.surjection_counts
+
+        def corrupted(n, limits):
+            classes, S = counts(n, limits)
+            if n == 2:
+                S = [list(row) for row in S]
+                S[0][1] += 1
+            return classes, S
+
+        monkeypatch.setattr(series, "surjection_counts", corrupted)
+        F = (QuantumGraph.from_graph(single_edge(), 3)
+             + QuantumGraph.from_graph(path_graph(2), -2)
+             + QuantumGraph.from_graph(parallel_edges(2), 5)
+             + QuantumGraph.from_graph(matching(2), Fraction(1, 4)))
+        report = taylor_recover(self._oracle_for(F, 6), 2, 6)
+        assert report.residual_ok == ((0, True), (1, True), (2, False))
+        assert report.as_quantum() == F
 
     def test_p_too_small_rejected(self):
         with pytest.raises(ValueError):
