@@ -411,6 +411,17 @@ class TestTaylorRecover:
         with pytest.raises(ValueError):
             taylor_recover(crooked, 2, 4)
 
+    def test_order_dependent_oracle_detected(self):
+        """Linear in each slot, but it tells its slots apart; only swapping
+        two distinct directions shows it."""
+        def ordered(dirs):
+            if len(dirs) != 2:
+                return Fraction(0)
+            return dirs[0].value(1, 2) * dirs[1].value(3, 4)
+
+        with pytest.raises(ValueError, match="not symmetric"):
+            taylor_recover(ordered, 2, 4)
+
 
 class TestWhitneyMatrix:
     def test_single_edge_case(self):
