@@ -15,8 +15,8 @@ from dataclasses import fields
 from fractions import Fraction
 
 from . import (DerivativeRequest, Limits, count_aut, count_hom, count_surj,
-               cut_norm, density, enumerate_Hn, enumerate_Hnp, eval_quantum,
-               extract_T, gateaux_exact, gateaux_numeric, graph_from_json,
+               cut_norm, enumerate_Hn, enumerate_Hnp, eval_quantum, extract_T,
+               gateaux_exact, gateaux_numeric, graph_from_json,
                graph_signature, graph_to_json, kernel_from_json,
                kernel_to_json, labelled_density, lagrange_interpolate,
                pi_fiber_oracle, pi_formula, pins_from_json, quantum_from_json,
@@ -196,11 +196,8 @@ def _cmd_counting(args, limits) -> int:
 def _cmd_density(args, limits) -> int:
     g = _load_graph(args.graph)
     f = _load_kernel(args.kernel)
-    if args.pins:
-        pins = pins_from_json(_load_json(args.pins))
-        value = labelled_density(g, f, pins, limits=limits)
-    else:
-        value = density(g, f, limits=limits)
+    pins = pins_from_json(_load_json(args.pins)) if args.pins else {}
+    value = labelled_density(g, f, pins, limits=limits)
     _emit(args, {"value": str(value), "decimal": float(value)}, _fmt(value))
     return 0
 

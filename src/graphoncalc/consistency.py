@@ -11,12 +11,14 @@ check each other.
 `verify_structure` machine-checks the structure theory on them.  Its
 scale-change relation (d) is one integer identity per k,
 Pi_k S = S diag(k^|V(H)|) with S[H][g] = |Surj(H, g)|; it reads no scale,
-so it holds at every p.  S is `morphisms.surjection_counts`, searched once
-per edge count in a process, and Taylor recovery back-substitutes on the
-same table.  Check (e) ties it to the derivatives: the n-th derivative of
-t(H, .) at 0 on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, which
-is column H of `series.surjection_matrix(n, p)`, read from S; (e) checks S
-through it at every scale the report reads, which its detail names.
+so it holds at every p.  S and the weighted tables behind Pi_k are
+`morphisms.surjection_table`, which searches each once per process, so
+Taylor recovery back-substitutes on the same S.  Both list the classes in
+the surjection order, and a matrix keeps its table by position in it.
+Check (e) ties S to the derivatives: the n-th derivative of t(H, .) at 0
+on a basis tuple of class h is |Surj(H, h)| / p^|V(H)|, which is column H
+of `series.surjection_matrix(n, p)`, read from S; (e) checks S through it
+at every scale the report reads, which its detail names.
 """
 
 from __future__ import annotations
@@ -24,48 +26,63 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from . import linalg
 from .calculus import ConsistencyVector, extract_T
 from .limits import DEFAULT_LIMITS, Limits
-from .morphisms import (surjection_counts, surjection_table,
-                        surjection_total_order)
+from .morphisms import surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, graph_signature, strip_isolated,
-                         stripped_keys)
+                         surjection_positions, surjection_total_order)
 from .series import QuantumGraph, surjection_matrix
 
 
 @dataclass(frozen=True)
 class ConsistencyMatrix:
     """Nonnegative integer matrix over the n-edge classes, listed in
-    `surjection_total_order`; entry (g, h) is nonzero only when a
-    representative of h surjects onto one of g, so `rows()` is upper
-    triangular, and the diagonal is strictly positive."""
+    `surjection_total_order`: entry (classes[a], classes[b]) is
+    table[a][b], nonzero only when a representative of classes[b]
+    surjects onto one of classes[a], so the table is upper triangular, and
+    the diagonal is strictly positive.  Matrices compare by (n, k, table);
+    `value` and `rows` find the positions of other graphs by canonical
+    key."""
 
     n: int
     k: int
     classes: tuple[Multigraph, ...] = field(compare=False)
-    entries: dict[tuple[bytes, bytes], int]
+    table: tuple[tuple[int, ...], ...]
+
+    def _positions(self, graphs) -> list[int]:
+        position = {canonical_key(g): a for a, g in enumerate(self.classes)}
+        return [position[canonical_key(g)] for g in graphs]
 
     def value(self, g: Multigraph, h: Multigraph) -> int:
-        return self.entries[(canonical_key(g), canonical_key(h))]
-
-    def value_by_key(self, gkey: bytes, hkey: bytes) -> int:
-        return self.entries[(gkey, hkey)]
+        a, b = self._positions((g, h))
+        return self.table[a][b]
 
     def rows(self, order: tuple[Multigraph, ...] | None = None) -> list[list[int]]:
-        order = order or self.classes
-        keys = [canonical_key(g) for g in order]
-        return [[self.entries[(gk, hk)] for hk in keys] for gk in keys]
+        index = self._positions(order or self.classes)
+        return [[self.table[a][b] for b in index] for a in index]
 
 
-@lru_cache(maxsize=64)
-def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
+def pi_formula(n: int, k: int, *,
+               limits: Limits = DEFAULT_LIMITS) -> ConsistencyMatrix:
+    """Closed form: entry (g, h) sums, over surjections of a representative H
+    of h onto one G of g, the product over G-vertices of the falling
+    factorial of k at the fiber size, divided by |Aut(H)| (exactly).
+
+    The sums are `surjection_table(n, 0, k)`, searched once per process,
+    whose class order the matrix keeps: row H of that table, divided by
+    |Aut(H)|, is column H of the matrix.  A pair is searched only where G
+    can be a quotient of H: H with more vertices and at least as many
+    distinct pairs as G, or H isomorphic to G.  |Aut(H)| is the sum of H
+    onto itself divided by k^|V(H)|, so it needs no search of its own;
+    ArithmeticError if that or any entry does not divide exactly."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
     classes, table = surjection_table(n, 0, k, limits=limits)
-    entries: dict[tuple[bytes, bytes], int] = {}
+    columns = []
     for i, (H, row) in enumerate(zip(classes, table)):
         # the surjections of H onto itself are its automorphisms, each
         # with every fiber of size 1 and so of weight k^|V(H)|
@@ -76,66 +93,51 @@ def _pi_formula_cached(n: int, k: int, limits: Limits) -> ConsistencyMatrix:
                 f"weighted surjection sum {row[i]} of a class onto itself is "
                 f"not a positive multiple of k^|V| = {scale}; morphism "
                 f"counting is inconsistent")
-        hkey = canonical_key(H)
-        for G, total in zip(classes, row):
-            quotient, remainder = divmod(total, aut)
-            if remainder:
+        for total in row:
+            if total % aut:
                 raise ArithmeticError(
                     f"weighted surjection sum {total} is not divisible by "
                     f"|Aut| = {aut}; morphism counting is inconsistent")
-            entries[(canonical_key(G), hkey)] = quotient
-    return ConsistencyMatrix(n, k, classes, entries)
-
-
-def pi_formula(n: int, k: int, *,
-               limits: Limits = DEFAULT_LIMITS) -> ConsistencyMatrix:
-    """Closed form: entry (g, h) sums, over surjections of a representative H
-    of h onto one G of g, the product over G-vertices of the falling
-    factorial of k at the fiber size, divided by |Aut(H)| (exactly).
-
-    The sums are `surjection_table(n, 0, k)`, whose class order the matrix
-    keeps, so a pair is searched only where G can be a quotient of H: H
-    with more vertices and at least as many distinct pairs as G, or H
-    isomorphic to G.  |Aut(H)| is the sum of H onto itself divided by
-    k^|V(H)|, so it needs no search of its own; ArithmeticError if that or
-    any entry does not divide exactly."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    return _pi_formula_cached(n, k, limits)
+        columns.append([total // aut for total in row])
+    return ConsistencyMatrix(n, k, classes, tuple(zip(*columns)))
 
 
 def pi_fiber_oracle(n: int, k: int, p: int, *,
                     limits: Limits = DEFAULT_LIMITS) -> ConsistencyMatrix:
     """Direct route: expand one basis tuple per class into all k^(2n) refined
     tuples and count how many land in each class.  The classes are listed
-    in `surjection_total_order`, as `pi_formula` lists them."""
+    in `surjection_total_order`, as `pi_formula` lists them.
+
+    A basis tuple of class g at p >= 2n parts spans |V(g)| of them, so each
+    refined tuple is built on the k |V(g)| parts they split into; the parts
+    it misses are isolated vertices, which its class drops.  p is only
+    checked."""
     if p < 2 * n:
         raise ValueError("the fiber construction needs p >= 2n")
     if k ** (2 * n) > limits.max_index_tuples:
         raise limits.exceeded("max_index_tuples",
                               f"k^(2n) = {k ** (2 * n)} index tuples")
     classes = tuple(surjection_total_order(enumerate_Hn(n, limits=limits)))
-    keys = {canonical_key(g) for g in classes}
-    entries: dict[tuple[bytes, bytes], int] = {
-        (gk, hk): 0 for gk in keys for hk in keys}
-    for g in classes:
-        gkey = canonical_key(g)
+    position = {canonical_key(g): b for b, g in enumerate(classes)}
+    table = [[0] * len(classes) for _ in classes]
+    for g, row in zip(classes, table):
         slots = g.edge_slots()
         for indices in itertools.product(range(1, k + 1), repeat=2 * n):
             edges = []
             for l, (u, v) in enumerate(slots):
                 i, j = indices[2 * l], indices[2 * l + 1]
                 edges.append((k * u + i - 1, k * v + j - 1))
-            refined = Multigraph(k * p, edges)
-            hkey = canonical_key(strip_isolated(refined))
-            entries[(gkey, hkey)] += 1
-    return ConsistencyMatrix(n, k, classes, entries)
+            refined = Multigraph(k * g.vertex_count, edges)
+            row[position[canonical_key(strip_isolated(refined))]] += 1
+    return ConsistencyMatrix(n, k, classes, tuple(map(tuple, table)))
 
 
 def apply_constraint(A: ConsistencyVector, k: int, *,
                      limits: Limits = DEFAULT_LIMITS) -> ConsistencyVector:
     """Push derivative data from the kp-part scale down to the p-part scale
-    through the integer matrix; exact."""
+    through the integer matrix; exact.  Each class at either scale is read
+    at the position of its unpadded class (`surjection_positions`), which
+    is its row and column in the matrix."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if A.p % k:
@@ -143,17 +145,14 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
     p = A.p // k
     if p < 2:
         raise ValueError("target scale must have at least 2 parts")
-    matrix = pi_formula(A.n, k, limits=limits)
-    fine_stripped = stripped_keys(A.n, A.p, limits=limits)
-    fine = [(fine_stripped[key], value) for key, value in A.entries.items()]
-    entries: dict[bytes, Fraction] = {}
-    for gkey, gkey_stripped in stripped_keys(A.n, p, limits=limits).items():
-        acc = Fraction(0)
-        for hkey_stripped, value in fine:
-            weight = matrix.value_by_key(gkey_stripped, hkey_stripped)
-            if weight:
-                acc += weight * value
-        entries[gkey] = acc
+    table = pi_formula(A.n, k, limits=limits).table
+    fine_positions = surjection_positions(A.n, A.p, limits=limits)
+    fine = [(fine_positions[key], value) for key, value in A.entries.items()]
+    entries = {}
+    for gkey, a in surjection_positions(A.n, p, limits=limits).items():
+        row = table[a]
+        entries[gkey] = sum((row[b] * value for b, value in fine if row[b]),
+                            Fraction(0))
     return ConsistencyVector(A.n, p, enumerate_Hnp(A.n, p, limits=limits),
                              entries)
 
@@ -200,9 +199,9 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
         k <= k_max with k*p within `max_parts`; the detail names those
         scales.
 
-    S is read from `surjection_counts`, searched once per edge count in a
-    process and shared with `surjection_matrix`, so the report runs no
-    surjection search of its own beyond that table and the scale matrices.
+    S is `surjection_table(n)`, searched once per process and shared with
+    `surjection_matrix`, so the report runs no surjection search of its
+    own beyond that table and the weighted tables of the scale matrices.
     Taylor recovery back-substitutes on S, and (e) checks S through
     `surjection_matrix` at every scale.  With (e), (d)
     is the relation between the derivative vectors at p and k*p parts, for
@@ -219,11 +218,11 @@ def verify_structure(n: int, p_max: int | None = None, k_max: int = 3, *,
     # S and the scale matrices list the classes in the surjection order, so
     # (a)'s triangularity compares indices; (c) and (e) keep the listing
     # order of the columns of `surjection_matrix`, which fixes (c)'s sign
-    ordered, counts = surjection_counts(n, limits)
+    ordered, counts = surjection_table(n, limits=limits)
 
     pi_rows = {}
     for k in range(1, k_max + 1):
-        rows = pi_rows[k] = pi_formula(n, k, limits=limits).rows()
+        rows = pi_rows[k] = pi_formula(n, k, limits=limits).table
         details = []
         for a, row in enumerate(rows):
             for b, value in enumerate(row):

@@ -84,9 +84,11 @@ one pair per orbit is searched, and the orbit is filled by closure under
 the index maps of the permutations (1 2) and (1 2 ... k), which generate
 them all; the maps cost at most two relabelled `canonical_key`s per class.
 Whitney(4, 2) searches 14,839 of its 78,961 pairs this way, and 8,215 of
-those pass the tests above.  The unlabelled table S of one edge count,
-behind Taylor recovery and the structure report, is `surjection_counts`:
-searched once per edge count in a process and read by both.
+those pass the tests above.  `surjection_table` keeps every table it
+builds, so each is searched once per process: the unlabelled table S
+behind Taylor recovery, `series.surjection_matrix` and the structure
+report, the weighted tables behind the scale matrices, and the labelled
+ones behind the Whitney matrices.
 
 What the counts need of a graph is one `_Record`, built the first time the
 graph is counted and kept on the graph (`Multigraph._record`), so a pair
@@ -109,7 +111,7 @@ from typing import NamedTuple, Sequence
 from .density import _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, _adjacency, _twin_classes, canonical_key,
-                         enumerate_Hn)
+                         enumerate_Hn, surjection_total_order)
 
 
 @lru_cache(maxsize=None)
@@ -387,10 +389,19 @@ def surjection_table(n: int, labels: int = 0, k: int | None = None, *,
     In this order the table is lower triangular: a class surjects onto
     another only if that one comes first.  Only the pairs that can be
     quotients are searched (module docstring), and with two or more labels
-    one pair per label-permutation orbit of pairs.
+    one pair per label-permutation orbit of pairs.  Each table is searched
+    once per (n, labels, k, limits) in a process and shared by every
+    caller: S, the scale matrices and the Whitney matrices alike.
     """
     if k is not None and k < 0:
         raise ValueError("k must be at least 0")
+    return _surjection_table(n, labels, k, limits)
+
+
+@lru_cache(maxsize=64)
+def _surjection_table(n: int, labels: int, k: int | None, limits: Limits
+                      ) -> tuple[tuple[Multigraph, ...],
+                                 tuple[tuple[int, ...], ...]]:
     classes = tuple(surjection_total_order(enumerate_Hn(n, labels,
                                                         limits=limits)))
     moves = _label_moves(classes, labels)
@@ -416,25 +427,6 @@ def surjection_table(n: int, labels: int = 0, k: int | None = None, *,
                         table[pair[0]][pair[1]] = value
                         orbit.append(pair)
     return classes, tuple(map(tuple, table))
-
-
-def surjection_total_order(classes) -> list[Multigraph]:
-    """Total order refining 'a representative surjects onto': simple-edge
-    count (the number of distinct pairs), then vertex count, then canonical
-    key."""
-    return sorted(classes, key=lambda g: (len(g.pairs), g.vertex_count,
-                                          canonical_key(g)))
-
-
-@lru_cache(maxsize=64)
-def surjection_counts(n: int, limits: Limits) -> tuple[
-        tuple[Multigraph, ...], tuple[tuple[int, ...], ...]]:
-    """The unlabelled n-edge classes and their table S, S[i][j] =
-    |Surj(classes[i], classes[j])|: `surjection_table(n)`, searched once
-    per edge count (and `limits`) in a process and read by
-    `series.taylor_recover`, `series.surjection_matrix` and
-    `consistency.verify_structure` alike."""
-    return surjection_table(n, limits=limits)
 
 
 def t_combinatorial(h: Multigraph, g: Multigraph, *,

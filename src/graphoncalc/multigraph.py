@@ -444,23 +444,32 @@ def enumerate_Hn(n: int, k: int = 0, *,
     return _enumerate_classes(n, k, limits)
 
 
+def surjection_total_order(classes) -> list[Multigraph]:
+    """Total order refining 'a representative surjects onto': simple-edge
+    count (the number of distinct pairs), then vertex count, then canonical
+    key."""
+    return sorted(classes, key=lambda g: (len(g.pairs), g.vertex_count,
+                                          canonical_key(g)))
+
+
 @lru_cache(maxsize=64)
 def _enumerate_with_vertices(n: int, p: int, limits: Limits
-                             ) -> tuple[tuple[Multigraph, ...], Mapping[bytes, bytes]]:
+                             ) -> tuple[tuple[Multigraph, ...], Mapping[bytes, int]]:
     # A class on exactly p vertices is an n-edge class without isolated
     # vertices that fits in p vertices, padded with isolated ones; its key
-    # is derived from the unpadded class's.
+    # is derived from the unpadded class's, listed with that class's
+    # position in the surjection order.
     padded = []
-    for h in _enumerate_classes(n, 0, limits):
+    for i, h in enumerate(surjection_total_order(
+            _enumerate_classes(n, 0, limits))):
         if h.vertex_count <= p:
-            source = canonical_key(h)
-            key = padded_key(source, p)
+            key = padded_key(canonical_key(h), p)
             g = h.padded(p)
             object.__setattr__(g, "_key", key)
-            padded.append((key, g, source))
+            padded.append((key, g, i))
     padded.sort(key=lambda item: item[0])
     return (tuple(g for _, g, _ in padded),
-            MappingProxyType({key: source for key, _, source in padded}))
+            MappingProxyType({key: i for key, _, i in padded}))
 
 
 def _check_np(n: int, p: int) -> None:
@@ -478,11 +487,12 @@ def enumerate_Hnp(n: int, p: int, *,
     return _enumerate_with_vertices(n, p, limits)[0]
 
 
-def stripped_keys(n: int, p: int, *,
-                  limits: Limits = DEFAULT_LIMITS) -> Mapping[bytes, bytes]:
+def surjection_positions(n: int, p: int, *,
+                         limits: Limits = DEFAULT_LIMITS) -> Mapping[bytes, int]:
     """For each class of `enumerate_Hnp(n, p)`, in its order: its canonical
-    key -> the key of the class with its isolated vertices removed (the
-    `enumerate_Hn` class it was padded from).  Read-only, computed once."""
+    key -> the position, in `surjection_total_order(enumerate_Hn(n))`, of
+    the class it was padded from, which is its row and column in
+    `morphisms.surjection_table(n)`.  Read-only, computed once."""
     _check_np(n, p)
     return _enumerate_with_vertices(n, p, limits)[1]
 

@@ -22,11 +22,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .density import Pins, density, labelled_density, part_of
 from .limits import DEFAULT_LIMITS, CapExceeded, Limits
-from .morphisms import surjection_counts, surjection_table
+from .morphisms import surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
                          graph_signature, graph_to_json, pad_labels,
-                         stripped_keys)
+                         surjection_positions)
 from .stepkernel import StepKernel, basis_edge, _to_fraction
 
 
@@ -496,22 +496,22 @@ def surjection_matrix(n: int, p: int, *,
     """Rows h in the p-vertex classes, columns H in the no-isolated classes:
     |Surj(H, h-with-isolated-removed)| / p^|V(H)|.
 
-    The counts are read from `morphisms.surjection_counts`, the table S of
-    the n-edge classes, searched once per edge count in a process: each row
-    class is a column class padded with isolated vertices (`stripped_keys`),
-    so entry (h, H) is S at (H, the class h was padded from).  No call
-    searches a pair of its own.  Taylor recovery back-substitutes on S
-    itself; structure-report check (e) reads S through this matrix at
-    every scale.
+    The counts are read from S = `morphisms.surjection_table(n)`, the
+    table of the n-edge classes, searched once per process: each row class
+    is a column class padded with isolated vertices, so entry (h, H) is S
+    at (H, the class h was padded from), whose position in S is
+    `surjection_positions(n, p)[h]`.  No call searches a pair of its own.
+    Taylor recovery back-substitutes on S itself; structure-report check
+    (e) reads S through this matrix at every scale.
     """
     rows_classes = enumerate_Hnp(n, p, limits=limits)
     col_classes = enumerate_Hn(n, limits=limits)
-    classes, counts = surjection_counts(n, limits)
+    classes, counts = surjection_table(n, limits=limits)
     index = {canonical_key(g): i for i, g in enumerate(classes)}
     columns = [(counts[index[canonical_key(H)]], p ** H.vertex_count)
                for H in col_classes]
-    matrix = [[_count_entry(row[index[key]], scale) for row, scale in columns]
-              for key in stripped_keys(n, p, limits=limits).values()]
+    matrix = [[_count_entry(row[i], scale) for row, scale in columns]
+              for i in surjection_positions(n, p, limits=limits).values()]
     return rows_classes, col_classes, matrix
 
 
@@ -537,9 +537,9 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
 
     At degree n the oracle on `basis_tuple(g, p)` is the sum over the n-edge
     classes H of |Surj(H, g)| c_H / p^|V(H)|.  The table S of
-    `surjection_counts(n)` is lower triangular with |Aut(H)| on its
-    diagonal, so the coefficients come out by back substitution from the
-    last class, listed in its order.  The residual is the full product
+    `surjection_table(n)`, searched once per process, is lower triangular
+    with |Aut(H)| on its diagonal, so the coefficients come out by back
+    substitution from the last class, listed in its order.  The residual is the full product
     against S, so a nonzero count above the diagonal fails it.
     """
     if N < 0:
@@ -551,7 +551,7 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
     degree_coeffs = [(0, ((Multigraph(0), oracle(())),))]
     residuals = [(0, True)]
     for n in range(1, N + 1):
-        classes, S = surjection_counts(n, limits)
+        classes, S = surjection_table(n, limits=limits)
         values = [oracle(basis_tuple(g, p)) for g in classes]
         x = [_ZERO] * len(classes)
         for j in reversed(range(len(classes))):
@@ -625,9 +625,10 @@ def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = Non
 
     p defaults to `whitney_parts`; an explicit p must be at least 1 and put
     each pin strictly inside a part of its own, else ValueError.  The
-    classes and counts are `surjection_table(n, k)`, in its order: only
-    pairs that can be quotients are searched, and with k >= 2 only one pair
-    per orbit of the label permutations.
+    classes and counts are `surjection_table(n, k)`, in its order, searched
+    once per process and shared by every p and pins: only pairs that can be
+    quotients are searched, and with k >= 2 only one pair per orbit of the
+    label permutations.
     """
     pins = {int(lab): _to_fraction(x) for lab, x in (pins or {}).items()}
     if sorted(pins) != list(range(1, k + 1)):

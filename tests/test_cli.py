@@ -228,6 +228,17 @@ class TestSubcommands:
                     "--pins", pins]) == 0
         assert capsys.readouterr().out.startswith("2/3")
 
+    def test_labelled_density_without_pins_names_the_labels(self, files,
+                                                            capsys):
+        # the CLI has one density call; the message names what is missing,
+        # not a library function the CLI user cannot call
+        g = files("g.json", graph_to_json(Multigraph(2, [(0, 1)], {1: 0})))
+        kern = files("kern.json", _kernel_json(parts=2))
+        assert run(["density", "--graph", g, "--kernel", kern]) == 1
+        err = capsys.readouterr().err
+        assert "pins must cover all labels; missing [1]" in err
+        assert "labelled_density" not in err
+
     def test_density_refuses_pins_for_missing_labels(self, files, capsys):
         g = files("g.json", graph_to_json(Multigraph(2, [(0, 1)], {1: 0})))
         kern = files("kern.json", _kernel_json(parts=2))
@@ -359,11 +370,30 @@ class TestPinnedOutputs:
          "ce9dc11170a8fb570d885577a2a62c77be0400c54bf5b43e2caa2b85160f752a"),
         (["whitney", "-n", "2", "-k", "2", "--pins", "1/3", "2/3"],
          "e3a2e3dabcfc4070f2e5cfead999e6f60917d9ba61165ccd9ef312cb4c63a6bf"),
+        (["enumerate", "-n", "3", "--pvertices", "5"],
+         "46d68b4ccc924227e39bac5b2071acaf924354b58c973785e530f01089b8e2b9"),
+        # the fiber oracle's output does not depend on p
+        (["pi", "-n", "2", "-k", "2", "--oracle", "-p", "4"],
+         "97defb7cf5d4c7d4324177bbadaec3b9a4d2889800bb36681371efe4e3d104f0"),
+        (["pi", "-n", "2", "-k", "2", "--oracle", "-p", "40"],
+         "97defb7cf5d4c7d4324177bbadaec3b9a4d2889800bb36681371efe4e3d104f0"),
     ])
     def test_stdout_digest(self, capsys, argv, digest):
         assert run(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("before, digest", [
+        ([], "48557b7aed993e1ef8863b4daaadf535a3eefaa8b20855295e0ab94db7e3651a"),
+        (["--format", "json"],
+         "060883443301a68eb5165c301800f2fcd025441d08bf48ee45e7a3feeefab0a5"),
+    ])
+    def test_extract_t_digest(self, files, capsys, before, digest):
+        F = files("c4.json", quantum_to_json(
+            QuantumGraph.from_graph(cycle_graph(4))))
+        self.test_stdout_digest(
+            capsys, [*before, "extractT", "--F", F, "-n", "4", "-p", "8"],
+            digest)
 
     @pytest.mark.parametrize("before, after, digest", [
         ([], [],

@@ -51,12 +51,8 @@ class TestPiFormula:
             return classes, ((rows[0][0] + 1, *rows[0][1:]), *rows[1:])
 
         monkeypatch.setattr(consistency, "surjection_table", crooked)
-        consistency._pi_formula_cached.cache_clear()
-        try:
-            with pytest.raises(ArithmeticError, match="positive multiple"):
-                pi_formula(2, 2)
-        finally:
-            consistency._pi_formula_cached.cache_clear()
+        with pytest.raises(ArithmeticError, match="positive multiple"):
+            pi_formula(2, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -118,6 +114,22 @@ class TestFiberOracle:
     def test_needs_wide_scale(self):
         with pytest.raises(ValueError):
             pi_fiber_oracle(2, 2, 3)
+
+    def test_refined_graphs_are_sized_by_the_class(self, monkeypatch):
+        """A refined tuple of class g spans the k |V(g)| parts g's parts
+        split into, whatever p is: at p = 40 the single edge's refinements
+        have 4 vertices, not k p = 80."""
+        built = []
+        real = consistency.Multigraph
+
+        def counting(vertex_count, *args, **kw):
+            built.append(vertex_count)
+            return real(vertex_count, *args, **kw)
+
+        monkeypatch.setattr(consistency, "Multigraph", counting)
+        matrix = pi_fiber_oracle(1, 2, 40)
+        assert built and max(built) <= 4
+        assert matrix == pi_fiber_oracle(1, 2, 2)
 
     def test_tuple_cap(self):
         with pytest.raises(CapExceeded,
@@ -202,9 +214,9 @@ class TestStructureReport:
             verify_structure(*args)
 
     def test_corrupted_surjection_count_fails_the_relation(self, monkeypatch):
-        # S is built, and cached, where `morphisms.surjection_counts` calls
-        # `surjection_table`; the cache is cleared on both sides of the
-        # corruption, so no other test reads the corrupted table
+        # the report and `surjection_matrix` both read S through their own
+        # module's `surjection_table`; the corruption wraps the cached
+        # table and never enters the cache, so no other test reads it
         table = morphisms.surjection_table
 
         def corrupted(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
@@ -218,29 +230,26 @@ class TestStructureReport:
                 counts[i][j] += 1
             return classes, counts
 
-        monkeypatch.setattr(morphisms, "surjection_table", corrupted)
-        morphisms.surjection_counts.cache_clear()
-        try:
-            report = verify_structure(2, p_max=4, k_max=2)
-        finally:
-            morphisms.surjection_counts.cache_clear()
+        monkeypatch.setattr(consistency, "surjection_table", corrupted)
+        monkeypatch.setattr(series, "surjection_table", corrupted)
+        report = verify_structure(2, p_max=4, k_max=2)
         assert "scale-change relation" in [
             c.name for c in report.checks if not c.passed]
 
     def test_swapped_surjection_matrix_rows_fail_the_counts(self, monkeypatch):
         """(e) reads the matrix Taylor recovery solves: two rows of
-        `surjection_matrix(3, 6)` swapped, through the stripped keys it
+        `surjection_matrix(3, 6)` swapped, through the positions in S it
         reads, fail (e) and nothing else."""
-        stripped = series.stripped_keys
+        positions = series.surjection_positions
 
         def swapped(n, p, *, limits=DEFAULT_LIMITS):
-            keys = stripped(n, p, limits=limits)
+            keys = positions(n, p, limits=limits)
             if (n, p) != (3, 6):
                 return keys
             (a, x), (b, y) = list(keys.items())[:2]
             return {**keys, a: y, b: x}
 
-        monkeypatch.setattr(series, "stripped_keys", swapped)
+        monkeypatch.setattr(series, "surjection_positions", swapped)
         report = verify_structure(3)
         assert [c.name for c in report.checks if not c.passed] == [
             "derivatives are surjection counts"]
@@ -314,10 +323,10 @@ class TestStructureAgainstRecomputing:
             matrix = formula(n, k, limits=limits)
             if k != 2:
                 return matrix
-            ordered = surjection_total_order(matrix.classes)
-            entries = dict(matrix.entries)
-            entries[canonical_key(ordered[-1]), canonical_key(ordered[0])] = 1
-            return ConsistencyMatrix(n, k, matrix.classes, entries)
+            table = [list(row) for row in matrix.table]
+            table[-1][0] = 1
+            return ConsistencyMatrix(n, k, matrix.classes,
+                                     tuple(map(tuple, table)))
 
         monkeypatch.setattr(consistency, "pi_formula", perturbed)
         failures = self._failures(2, 4, 3)
@@ -333,11 +342,13 @@ class TestStructureAgainstRecomputing:
             matrix = formula(n, k, limits=limits)
             if k != 3:
                 return matrix
-            entries = dict(matrix.entries)
-            pair = next(pair for pair, value in entries.items()
-                        if value and pair[0] != pair[1])
-            entries[pair] += 1
-            return ConsistencyMatrix(n, k, matrix.classes, entries)
+            table = [list(row) for row in matrix.table]
+            # the first nonzero entry off the diagonal, column by column
+            a, b = next((a, b) for b in range(len(table))
+                        for a in range(len(table)) if table[a][b] and a != b)
+            table[a][b] += 1
+            return ConsistencyMatrix(n, k, matrix.classes,
+                                     tuple(map(tuple, table)))
 
         monkeypatch.setattr(consistency, "pi_formula", corrupted)
         failures = self._failures(2, 4, 3, Limits(max_parts=4))
@@ -368,10 +379,10 @@ class TestLinearConsistencyDimension:
                 for i, g in enumerate(blocks[p]):
                     row = [Fraction(0)] * total
                     row[offsets[p] + i] = Fraction(-1)
-                    gk = canonical_key(strip_isolated(g))
+                    gs = strip_isolated(g)
                     for j, h in enumerate(blocks[p * k]):
-                        hk = canonical_key(strip_isolated(h))
-                        row[offsets[p * k] + j] += matrix.value_by_key(gk, hk)
+                        hs = strip_isolated(h)
+                        row[offsets[p * k] + j] += matrix.value(gs, hs)
                     rows.append(row)
         nullity = total - linalg.rank(rows)
         assert nullity == len(enumerate_Hn(n))

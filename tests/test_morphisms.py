@@ -7,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from graphoncalc import (DEFAULT_LIMITS, WIDE_LIMITS, CapExceeded, Limits,
-                         Multigraph, canonical_key, complete_graph, count_aut, count_hom,
-                         count_surj, enumerate_Hn, matching, parallel_edges,
+                         Multigraph, QuantumGraph, canonical_key,
+                         complete_graph, count_aut, count_hom, count_surj,
+                         enumerate_Hn, extract_T, matching, parallel_edges,
                          path_graph, single_edge, star_graph, t_combinatorial)
 from graphoncalc import morphisms
 from graphoncalc.density import _plan
-from graphoncalc.consistency import _pi_formula_cached, pi_formula
+from graphoncalc.consistency import (apply_constraint, pi_formula,
+                                     verify_structure)
 from graphoncalc.morphisms import surjection_table, surjection_weight_sum
 from graphoncalc.multigraph import _enumerate_classes
 from graphoncalc.series import whitney_matrix
@@ -311,7 +313,7 @@ class TestSurjectionTable:
     def test_pi_4_2_searches(self, monkeypatch):
         # 23 classes: 219 of the 529 pairs, and no automorphism count (|Aut|
         # is read off the table's diagonal)
-        _pi_formula_cached.cache_clear()
+        morphisms._surjection_table.cache_clear()
         searched = self._searched(monkeypatch)
         pi_formula(4, 2)
         assert len(searched) == 219
@@ -354,6 +356,19 @@ class TestSurjectionTable:
     def test_negative_fiber_cap_raises(self):
         with pytest.raises(ValueError):
             surjection_table(1, 0, -1)
+
+    def test_each_table_is_searched_once_per_process(self, monkeypatch):
+        # the Whitney table does not depend on p or the pins, and the
+        # report's weighted tables serve every later scale matrix
+        whitney_matrix(3, 1, {1: Fraction(1, 3)})
+        fine = extract_T(QuantumGraph.from_graph(matching(3)), 3, 6)
+        assert verify_structure(3).passed
+        searched = self._searched(monkeypatch)
+        whitney_matrix(3, 1, {1: Fraction(1, 3)}, p=8)
+        assert searched == []
+        pi_formula(3, 2)
+        apply_constraint(fine, 2)
+        assert searched == []
 
 
 class TestWorkCap:
@@ -437,6 +452,7 @@ class TestWorkCap:
 
 def test_surjection_search_keeps_its_plans_out_of_the_density_cache():
     _enumerate_classes.cache_clear()  # fresh class objects, no records
+    morphisms._surjection_table.cache_clear()
     _plan.cache_clear()
     W = whitney_matrix(3, 1, {1: Fraction(1, 3)})
     assert all(g._record.plan is not None for g in W.classes)
@@ -474,6 +490,7 @@ class TestRecord:
 
     def test_one_record_per_whitney_class(self, records, plans):
         _enumerate_classes.cache_clear()  # fresh class objects, no records
+        morphisms._surjection_table.cache_clear()
         pins = {1: Fraction(1, 3)}
         classes = whitney_matrix(3, 1, pins).classes
         assert len(records) == len(plans) == len(classes)

@@ -16,7 +16,7 @@ from graphoncalc import (DecoratedDensity, DerivativeRequest, Multigraph,
                          star_graph, taylor_recover, whitney_matrix)
 from graphoncalc import series
 from graphoncalc.density import part_of
-from graphoncalc.limits import CapExceeded, WIDE_LIMITS
+from graphoncalc.limits import DEFAULT_LIMITS, CapExceeded, WIDE_LIMITS
 from graphoncalc.series import GeometricTail, PowerSeries
 
 from .bruteforce import gauss_determinant, random_kernel
@@ -379,16 +379,16 @@ class TestTaylorRecover:
         """Back substitution reads S on and below its diagonal only; the
         residual is the full product against S, so a count put above the
         diagonal fails degree 2 and leaves the coefficients alone."""
-        counts = series.surjection_counts
+        table = series.surjection_table
 
-        def corrupted(n, limits):
-            classes, S = counts(n, limits)
+        def corrupted(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            classes, S = table(n, labels, k, limits=limits)
             if n == 2:
                 S = [list(row) for row in S]
                 S[0][1] += 1
             return classes, S
 
-        monkeypatch.setattr(series, "surjection_counts", corrupted)
+        monkeypatch.setattr(series, "surjection_table", corrupted)
         F = (QuantumGraph.from_graph(single_edge(), 3)
              + QuantumGraph.from_graph(path_graph(2), -2)
              + QuantumGraph.from_graph(parallel_edges(2), 5)
