@@ -539,8 +539,9 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
     classes H of |Surj(H, g)| c_H / p^|V(H)|.  The table S of
     `surjection_table(n)`, searched once per process, is lower triangular
     with |Aut(H)| on its diagonal, so the coefficients come out by back
-    substitution from the last class, listed in its order.  The residual is the full product
-    against S, so a nonzero count above the diagonal fails it.
+    substitution from the last class, listed in its order.  The residual
+    is the full product against S, so a nonzero count above the diagonal
+    fails it.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
