@@ -32,11 +32,13 @@ class Limits:
     max_maps:         most search nodes (partial vertex maps) one search may
                       visit: a surjection search, where each labelled vertex
                       placed is one node too, or the density core (hom
-                      counts included), where a node is a level computed
-                      rather than read from its cache
+                      counts included); in both a node is a level computed
+                      rather than read from its cache or memo
     max_index_tuples: largest k^(2n) enumeration in the fiber oracle
     max_classes:      largest isomorphism-class listing
     max_cut_parts:    largest part count for the exact cut norm (2^p search)
+    max_separating_edges: most edges of the simple graphs tried when looking
+                      for one whose densities tell two kernels apart
     """
 
     max_parts: int = 12
@@ -45,6 +47,7 @@ class Limits:
     max_index_tuples: int = 10**7
     max_classes: int = 10**5
     max_cut_parts: int = 20
+    max_separating_edges: int = 4
 
     def exceeded(self, cap: str, work: str) -> CapExceeded:
         """The error refusing `work` (what was reached) past the field `cap`."""

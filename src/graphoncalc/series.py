@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .density import Pins, density, labelled_density, part_of
-from .limits import DEFAULT_LIMITS, CapExceeded, Limits
+from .limits import DEFAULT_LIMITS, Limits
 from .morphisms import surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
@@ -653,24 +653,24 @@ def whitney_matrix(n: int, k: int, pins: Pins | None = None, p: int | None = Non
 
 
 def find_separating_graph(f: StepKernel, g: StepKernel, *,
-                          max_edges: int = 4,
                           limits: Limits = DEFAULT_LIMITS) -> Multigraph:
     """First simple graph, in canonical order by edge count, whose densities
-    at the two kernels differ; proves they are not weakly equivalent."""
-    for n in range(1, max_edges + 1):
+    at the two kernels differ; proves they are not weakly equivalent.  Graphs
+    with up to `limits.max_separating_edges` edges are tried."""
+    cap = limits.max_separating_edges
+    for n in range(1, cap + 1):
         for h in enumerate_Hn(n, limits=limits):
             if not h.is_simple():
                 continue
             if density(h, f, limits=limits) != density(h, g, limits=limits):
                 return h
-    raise CapExceeded(
-        f"no separating simple graph with up to {max_edges} edges; "
-        f"cannot certify the kernels as distinct")
+    raise limits.exceeded(
+        "max_separating_edges",
+        f"no simple graph with up to {cap} edges separates the kernels")
 
 
 def lagrange_interpolate(points: Sequence[StepKernel], values: Sequence,
-                         *, max_edges: int = 4,
-                         limits: Limits = DEFAULT_LIMITS) -> QuantumGraph:
+                         *, limits: Limits = DEFAULT_LIMITS) -> QuantumGraph:
     """A quantum graph whose evaluation hits the prescribed value at every
     kernel: a product of affine-in-density factors per point, one factor for
     each other point, built from separating graphs."""
@@ -685,8 +685,7 @@ def lagrange_interpolate(points: Sequence[StepKernel], values: Sequence,
         for i, other in enumerate(points):
             if i == j:
                 continue
-            h = find_separating_graph(points[j], other, max_edges=max_edges,
-                                      limits=limits)
+            h = find_separating_graph(points[j], other, limits=limits)
             tj = density(h, points[j], limits=limits)
             ti = density(h, other, limits=limits)
             # affine factor equal to 1 at points[j] and 0 at points[i]

@@ -4,12 +4,14 @@ Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
 replaced them (the plain backtracking homomorphism and surjection
-searches, the dense Gaussian elimination, the class listing that extends
-every class by every edge, the plain backtracking density
-core and the derivative summed over every slot assignment).  None of it
-shares code with the production implementations, except that the
-fixed-vertex-count enumeration and the augment-everything class listing
-dedup and order by `canonical_key`, that
+searches, the twin-folding surjection search without its memo, the dense
+Gaussian elimination, the class listing that extends every class by every
+edge, the plain backtracking density core and the derivative summed over
+every slot assignment).  None of it shares code with the production
+implementations, except that the fixed-vertex-count enumeration and the
+augment-everything class listing dedup and order by `canonical_key`, that
+`twin_fold_surjection_sum` takes its vertex order from `density._make_plan`
+and its twin classes from `multigraph._twin_classes`, that
 `recomputing_verify_structure`, the structure check by independent
 routes, reads the library's scale matrices and derivatives, and that
 `permutation_gateaux` evaluates each assignment with the library's
@@ -28,7 +30,8 @@ from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
                          enumerate_Hnp, graph_signature, linalg, strip_isolated,
                          surjection_total_order)
 from graphoncalc.consistency import StructureCheck, StructureReport
-from graphoncalc.density import _evaluate
+from graphoncalc.density import _evaluate, _make_plan
+from graphoncalc.multigraph import _adjacency, _twin_classes
 from graphoncalc.series import eval_quantum
 from graphoncalc.stepkernel import common_refinement
 
@@ -372,6 +375,109 @@ def backtrack_surjection_weight_sum(h: Multigraph, g: Multigraph, k: int) -> int
         return _edge_surjection_count(h, g, assign) * weight
 
     return _backtrack_surjections(h, g, leaf)
+
+
+def twin_fold_surjection_sum(h: Multigraph, g: Multigraph,
+                             k: int | None = None) -> int:
+    """The library's surjection search before it memoized subtotals: the
+    same order, cuts and twin fold, with every weight applied at the leaf
+    (edge maps, prod_v (k)_(|fiber of v|) when k is given, and each twin
+    class's t!/prod r!), no memo and no cap.  Of the tests that refuse a
+    pair before the search it keeps only the vertex and edge counts, so the
+    search alone must find the zeros the degree tests find."""
+    if h.k != g.k:
+        raise ValueError("label counts must match")
+    nv = g.vertex_count
+    spare = 2 * (h.edge_count - g.edge_count)
+    if spare < 0 or h.vertex_count < nv:
+        return 0
+    if nv == 0:
+        return 1
+    mult = [[0] * nv for _ in range(nv)]
+    for (a, b), m in g.pairs:
+        mult[a][b] = mult[b][a] = m
+    order, back, rest, h_degree, twin, twin_classes = _twin_fold_plan(h)
+    load = [[0] * nv for _ in range(nv)]
+    coverage = [0] * nv
+    room = [sum(row) for row in mult]
+    assign = [0] * h.vertex_count
+    depth = len(order)
+    choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
+    fiber_cap = h.vertex_count if k is None else k
+    total = 0
+
+    def rec(i: int, uncovered: int, missing: int, spare: int):
+        nonlocal total
+        if i == depth:
+            ways = 1
+            for (a, b), m in g.pairs:
+                ways *= _surjection_count(load[a][b], m)
+            if k is not None:
+                for size in coverage:
+                    ways *= perm(k, size)
+            for members in twin_classes:
+                run = 1
+                for s in range(1, len(members)):
+                    same = assign[members[s]] == assign[members[s - 1]]
+                    run = run + 1 if same else 1
+                    ways = ways * (s + 1) // run
+            total += ways
+            return
+        v = order[i]
+        dv = h_degree[v]
+        t = twin[i]
+        for c in choices[i] if t < 0 else range(assign[t], nv):
+            fresh = coverage[c] == 0
+            if uncovered - fresh > depth - i - 1 or coverage[c] == fiber_cap:
+                continue
+            r = room[c]
+            over = dv - r if dv > r else 0
+            if over > spare or any(not mult[c][assign[w]] for w, _ in back[i]):
+                continue
+            gained = 0
+            for w, m in back[i]:
+                d = assign[w]
+                short = mult[c][d] - load[c][d]
+                if short > 0:
+                    gained += min(m, short)
+                load[c][d] += m
+                load[d][c] += m
+            if missing - gained <= rest[i + 1]:
+                assign[v] = c
+                coverage[c] += 1
+                room[c] = r - dv + over
+                rec(i + 1, uncovered - fresh, missing - gained, spare - over)
+                room[c] = r
+                coverage[c] -= 1
+            for w, m in back[i]:
+                d = assign[w]
+                load[c][d] -= m
+                load[d][c] -= m
+
+    rec(0, nv, g.edge_count, spare)
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _twin_fold_plan(h: Multigraph):
+    """The search order of h, per step its back edges and the edge mass
+    from that step on, the degrees, each step's previous twin (or -1) and
+    the twin classes of two or more, for `twin_fold_surjection_sum`."""
+    h_degree = [0] * h.vertex_count
+    for (u, v), m in h.pairs:
+        h_degree[u] += m
+        h_degree[v] += m
+    order, levels, _ = _make_plan(h.vertex_count,
+                                  tuple(pair for pair, _ in h.pairs),
+                                  tuple(v for _, v in h.labels))
+    back = [[(w, h.pairs[idx][1]) for w, idx in ready] for ready in levels]
+    rest = list(itertools.accumulate(
+        reversed([sum(m for _, m in edges) for edges in back]),
+        initial=0))[::-1]
+    classes = _twin_classes(_adjacency(h), order[h.k:])
+    previous = {v: u for c in classes for u, v in zip(c, c[1:])}
+    return (order, back, rest, h_degree, [previous.get(v, -1) for v in order],
+            [c for c in classes if len(c) > 1])
 
 
 def classical_simple_hom(h: Multigraph, g: Multigraph) -> int:
@@ -789,6 +895,29 @@ def random_blow_up(rng, max_vertices: int = 6) -> Multigraph:
         if m:
             edges += [(u, v, m) for u, v in itertools.combinations(cls, 2)]
     return Multigraph(first[-1], edges)
+
+
+def random_union_of_components(rng, parts: int) -> tuple[Multigraph,
+                                                         list[range]]:
+    """A disjoint union of `parts` small components and the vertex range of
+    each: isolated vertices (unlabelled, they are twins across components),
+    random multigraphs on 2 or 3 vertices with up to 3 edges, and repeats
+    of a component drawn before."""
+    components: list[Multigraph] = []
+    for _ in range(parts):
+        roll = rng.random()
+        if components and roll < 0.3:
+            components.append(rng.choice(components))
+        elif roll < 0.55:
+            components.append(Multigraph(1))
+        else:
+            components.append(random_multigraph(rng, 3, 3))
+    edges, spans, first = [], [], 0
+    for c in components:
+        edges += [(u + first, v + first, m) for (u, v), m in c.pairs]
+        spans.append(range(first, first + c.vertex_count))
+        first += c.vertex_count
+    return Multigraph(first, edges), spans
 
 
 def random_labelled(rng, g: Multigraph, k: int) -> Multigraph:

@@ -170,6 +170,24 @@ class TestCapFlags:
                     "-n", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 23
 
+    def test_max_separating_edges(self, files, capsys, monkeypatch):
+        # no simple graph separates a kernel from itself, so the search for
+        # one runs to its cap
+        kern = files("kern.json", _kernel_json("1/2"))
+        argv = ["interpolate", "--points", kern, kern, "--values", "1", "2"]
+        assert run(argv) == 2
+        assert ("no simple graph with up to 4 edges separates the kernels, "
+                "over the max_separating_edges cap of 4 (raise it with "
+                "--max-separating-edges)") in capsys.readouterr().err
+        assert run(["--max-separating-edges", "2", *argv]) == 2
+        assert ("up to 2 edges separates the kernels, over the "
+                "max_separating_edges cap of 2") in capsys.readouterr().err
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "interpolate",
+                            lambda args, limits: seen.append(limits) or 0)
+        assert run(["--max-separating-edges", "6", *argv]) == 0
+        assert seen == [Limits(max_separating_edges=6)]
+
     def test_max_cut_parts(self, files, capsys):
         kern = files("kern.json", {"parts": 3, "matrix": [
             ["1", "-1", "0"], ["-1", "1", "0"], ["0", "0", "0"]]})

@@ -24,7 +24,8 @@ from .bruteforce import (backtrack_hom, backtrack_surj,
                          brute_surj, classical_simple_hom,
                          inclusion_exclusion_surj, random_blow_up,
                          random_image, random_image_short_of,
-                         random_labelled, random_multigraph)
+                         random_labelled, random_multigraph,
+                         random_union_of_components, twin_fold_surjection_sum)
 
 
 class TestHom:
@@ -267,6 +268,48 @@ class TestRandomPairsAgainstOracles:
                         assert entry == expected
 
 
+class TestComponentMemo:
+    """Sources made of several components, where the search memoizes the
+    subtotal of each later component at the step that completes the one
+    before: the search against the twin-folding search without a memo and
+    against the plain backtracking search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 5),
+           st.integers(0, 3), st.booleans(),
+           st.sampled_from([None, 1, 2, 3]), st.integers(0, 2))
+    def test_disjoint_unions(self, rng, parts, labels, spread, k, short):
+        h, spans = random_union_of_components(rng, parts)
+        assume(h.vertex_count <= 8 and h.vertex_count >= labels)
+        if spread and 2 <= labels <= parts:
+            # labels in different components
+            pinned = [rng.choice(span) for span in rng.sample(spans, labels)]
+            h = Multigraph(h.vertex_count, [(u, v, m) for (u, v), m in h.pairs],
+                           dict(zip(range(1, labels + 1), pinned)))
+        else:
+            h = random_labelled(rng, h, labels)
+        vertices = rng.randint(max(labels, 1), 4)
+        # short > 0 leaves the fibers a degree overshoot (spare > 0)
+        g = (random_image(rng, h, vertices) if short == 0 else
+             random_image_short_of(rng, h, vertices, short))
+        assume(g is not None)
+        expected = twin_fold_surjection_sum(h, g, k)
+        if k is None:
+            assert count_surj(h, g) == expected == backtrack_surj(h, g)
+        else:
+            assert surjection_weight_sum(h, g, k) == expected == \
+                backtrack_surjection_weight_sum(h, g, k)
+
+    @pytest.mark.parametrize("n, labels, k", [
+        (4, 0, None), (5, 0, None), (5, 0, 2), (4, 0, 3), (4, 2, None),
+        (3, 3, None)])
+    def test_tables_match_the_unmemoized_search(self, n, labels, k):
+        classes, table = surjection_table(n, labels, k)
+        assert table == tuple(
+            tuple(twin_fold_surjection_sum(h, g, k) for g in classes)
+            for h in classes)
+
+
 class TestSurjectionTable:
     @pytest.mark.parametrize("n, k", [(3, 2), (2, 3)])
     def test_whitney_entries_match_the_oracle(self, n, k):
@@ -386,15 +429,28 @@ class TestWorkCap:
 
     @pytest.mark.parametrize("h, order, nodes", [
         (star_graph(5), 120, 33),
-        (matching(4), 384, 193),
+        (matching(4), 384, 83),
     ])
     def test_twin_fold_fits_a_tighter_cap(self, h, order, nodes):
         # the search visits one leaf per class of twin swaps: 33 nodes for
-        # the 5-star and 193 for the 4-matching, where visiting every leaf
+        # the 5-star and 83 for the 4-matching, where visiting every leaf
         # takes 327 and 1,265
         assert count_aut(h, limits=Limits(max_maps=nodes)) == order
         with pytest.raises(CapExceeded, match=f"visited {nodes} nodes"):
             count_aut(h, limits=Limits(max_maps=nodes - 1))
+
+    def test_memo_fits_a_weighted_search_of_many_components(self):
+        # the 5-matching onto itself: 5! 2^5 automorphisms, each weighed by
+        # (2)_1 = 2 on each of 10 fibers.  The subtotal of the edges after
+        # each completed edge is computed once per state and read back, so
+        # the search computes 196 nodes, where the search without the memo
+        # computes 976
+        weighted = 3840 * 2 ** 10
+        assert surjection_weight_sum(matching(5), matching(5), 2,
+                                     limits=Limits(max_maps=196)) == weighted
+        with pytest.raises(CapExceeded, match="visited 196 nodes"):
+            surjection_weight_sum(matching(5), matching(5), 2,
+                                  limits=Limits(max_maps=195))
 
     def test_each_labelled_vertex_is_one_search_node(self):
         # a star with leaf multiplicities 1, 2, 3 and its centre labelled, so
