@@ -178,8 +178,9 @@ class _Record:
     (entry [a][b] is the a-b edge multiplicity; shared, never written), the
     degrees by vertex, the labelled vertices' degrees by label, |E|, and the
     prefix sums, from 0, of the degrees and of the pair multiplicities, each
-    sorted in descending order (entry i is the top-i sum); and, once the
-    graph is searched as a source, its `_Plan`."""
+    sorted in descending order (entry i is the top-i sum); prod m! over the
+    pairs, the edge maps of a surjection onto g from a graph with as many
+    edges; and, once the graph is searched as a source, its `_Plan`."""
 
     rows: list[list[int]]
     degree: tuple[int, ...]
@@ -187,6 +188,7 @@ class _Record:
     edge_count: int
     prefix: tuple[int, ...]
     pair_prefix: tuple[int, ...]
+    edge_maps: int
     plan: _Plan | None = None
 
 
@@ -202,7 +204,8 @@ def _record(g: Multigraph) -> _Record:
         rows, degree, tuple(degree[v] for _, v in g.labels), g.edge_count,
         tuple(accumulate(sorted(degree, reverse=True), initial=0)),
         tuple(accumulate(sorted((m for _, m in g.pairs), reverse=True),
-                         initial=0)))
+                         initial=0)),
+        prod(factorial(m) for _, m in g.pairs))
     object.__setattr__(g, "_record", record)
     return record
 
@@ -307,10 +310,9 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     depth = len(order)
     choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
     fiber_cap = h.vertex_count if k is None else k
-    pairs = tuple(pair for pair, _ in g.pairs)
     # with equal edge counts every leaf loads each g-pair with exactly its m
     # copies, so its edge maps are the m! bijections on each pair
-    leaf = prod(factorial(m) for _, m in g.pairs) if spare == 0 else 0
+    leaf = tgt.edge_maps if spare == 0 else 0
     cap = limits.max_maps
     nodes = 0
     memo: dict[tuple[int, ...], int] = {}
@@ -319,7 +321,7 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         nonlocal nodes
         if cut[i]:
             key = (i, *(coverage if k is not None else map(bool, coverage)),
-                   *[load[a][b] for a, b in pairs])
+                   *[load[a][b] for (a, b), _ in g.pairs])
             total = memo.get(key, -1)
             if total >= 0:
                 return total
@@ -372,7 +374,8 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                     room[c] = r
                     coverage[c] -= 1
                     if ways and k is not None:
-                        # the fiber weight (k)_size, one factor per vertex
+                        # the fiber weight (k)_size, one factor k - size + 1
+                        # per placement (coverage[c] is back to size - 1)
                         ways *= k - coverage[c]
                     if ways and members:
                         # the class's t!/prod r! leaves its twin swaps
