@@ -191,13 +191,13 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     direction classes numbered by decreasing count), except
     where the kernels' support masks prove the orbit's density 0
     (`_vanishes`): a vertex whose factors' row masks AND to 0, or a pair
-    whose factors' cell masks AND to 0.
+    whose factors' cell masks AND to 0.  Order 0 is the same orbit sum with
+    no directions: one labelling of weight 1 per term, its density at the
+    base, so the value of F there.
     """
     if F.k:
         raise ValueError("derivatives act on unlabelled density combinations")
     m = request.order
-    if m == 0:
-        return eval_quantum(F, request.base, limits=limits)
     refined = common_refinement(request.base, *request.directions)
     base, dirs = refined[0], refined[1:]
     if strict:
@@ -239,11 +239,10 @@ def gateaux_numeric(F: QuantumGraph, request: DerivativeRequest, step=None, *,
 
     The stencil values are computed in exact rational arithmetic (the step is
     a rational), so the only error is the h^2 truncation of the stencil; the
-    result is returned as a float.  Orders up to 3.
+    result is returned as a float.  Orders up to 3; at order 0 the stencil
+    is the one value at the base.
     """
     m = request.order
-    if m == 0:
-        return float(eval_quantum(F, request.base, limits=limits))
     if m > 3:
         raise ValueError("the numeric cross-check supports orders up to 3")
     if step is None:

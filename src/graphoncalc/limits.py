@@ -10,7 +10,7 @@ with <flag>)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class CapExceeded(RuntimeError):
@@ -24,7 +24,8 @@ def flag(cap: str) -> str:
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource caps for the search and summation kernels.
+    """Resource caps for the search and summation kernels; each is at
+    least 0, else ValueError.
 
     max_parts:        largest part count a kernel may have in a density sum,
                       and in the result of `tensor_product`
@@ -48,6 +49,12 @@ class Limits:
     max_classes: int = 10**5
     max_cut_parts: int = 20
     max_separating_edges: int = 4
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value < 0:
+                raise ValueError(f"{cap.name} must be at least 0, not {value}")
 
     def exceeded(self, cap: str, work: str) -> CapExceeded:
         """The error refusing `work` (what was reached) past the field `cap`."""

@@ -72,10 +72,11 @@ search problems", KR 1996).
 A source with several components would otherwise be searched again past
 each component for every way of placing the ones before it, so the search
 returns the subtotal of every step and keeps it at the cut steps.  A cut
-step comes after the labelled vertices and before the last step, no later
-step has an edge back to a free vertex placed before it, and no twin class
-has members on both sides of it: a component of h, labelled vertices
-aside, has just been completed.  The subtotal at a cut step is kept under
+step is a step whose separator in the density core's plan of h is empty
+(a free vertex is placed before it, and no step from it on has an edge
+back to one), unless a twin class spans it, with members before and from
+it on: a component of h, labelled vertices aside, has just been
+completed.  The subtotal at a cut step is kept under
 the step, the fiber sizes (only which g-vertices are covered, when k is
 None) and the loads on g's pairs, and read back when the same key comes
 again within the call.  The key is exact: every free vertex placed so far
@@ -85,11 +86,12 @@ not yet covered and the uncovered g-vertices all follow from it, and no
 later step reads an earlier image.  The weights move so that a subtotal
 depends on that state alone: the twin multinomial at the step that
 completes its class, the fiber weight (k)_size as the factor k - size + 1
-at each placement, and the edge maps at the leaf, where with equal edge
-counts (every table pair) each g-pair holds exactly its m copies and the
-count is the constant prod m!.  The rest of the search is the same, so a
-memo is recursive conditioning on the components (Darwiche, "Recursive
-conditioning", AI 2001), as in the density core.  In `pi_formula(5, 2)`
+at each placement, and the edge maps at the leaf, the product over g's
+pairs of `_count_surjections(load, m)`, the surjections of the load's
+h-copies onto the pair's m copies (m! on every pair, with equal edge
+counts).  The rest of the search is the same, so a memo is recursive
+conditioning on the components (Darwiche, "Recursive conditioning", AI
+2001), as in the density core, whose empty separators are the cut steps.  In `pi_formula(5, 2)`
 the search computes 26,917 nodes, 41,384 without the memo; in the
 unlabelled 5-edge table S, 39,058 and 84,007.
 
@@ -131,7 +133,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .density import _integrate, _make_plan
@@ -160,8 +162,9 @@ class _Plan(NamedTuple):
     end), the degree of the vertex placed, its previous twin (the member
     of its twin class placed last before it, or -1) and the twin class it
     completes (its members in search order, when it is the last of two or
-    more, else empty); and per step, one more at the end, whether the step
-    is a cut step (module docstring)."""
+    more, else empty); and per step, one more at the end (never one),
+    whether the step is a cut step: its separator in the density plan is
+    empty and no twin class spans it (module docstring)."""
 
     order: tuple[int, ...]
     back: tuple[tuple[tuple[int, int], ...], ...]
@@ -178,9 +181,8 @@ class _Record:
     (entry [a][b] is the a-b edge multiplicity; shared, never written), the
     degrees by vertex, the labelled vertices' degrees by label, |E|, and the
     prefix sums, from 0, of the degrees and of the pair multiplicities, each
-    sorted in descending order (entry i is the top-i sum); prod m! over the
-    pairs, the edge maps of a surjection onto g from a graph with as many
-    edges; and, once the graph is searched as a source, its `_Plan`."""
+    sorted in descending order (entry i is the top-i sum); and, once the
+    graph is searched as a source, its `_Plan`."""
 
     rows: list[list[int]]
     degree: tuple[int, ...]
@@ -188,7 +190,6 @@ class _Record:
     edge_count: int
     prefix: tuple[int, ...]
     pair_prefix: tuple[int, ...]
-    edge_maps: int
     plan: _Plan | None = None
 
 
@@ -204,8 +205,7 @@ def _record(g: Multigraph) -> _Record:
         rows, degree, tuple(degree[v] for _, v in g.labels), g.edge_count,
         tuple(accumulate(sorted(degree, reverse=True), initial=0)),
         tuple(accumulate(sorted((m for _, m in g.pairs), reverse=True),
-                         initial=0)),
-        prod(factorial(m) for _, m in g.pairs))
+                         initial=0)))
     object.__setattr__(g, "_record", record)
     return record
 
@@ -215,37 +215,32 @@ def _source_plan(g: Multigraph, record: _Record) -> _Plan:
 
     The order is the density core's plan for the distinct pairs of g with
     the labelled vertices pinned, so they are its first steps, by label.
+    Its cut steps are the steps whose separator in that plan is empty,
+    except those a twin class spans: after its first member, up to and
+    including its last.
     """
     if record.plan is not None:
         return record.plan
-    order, levels, _ = _make_plan(g.vertex_count,
-                                  tuple(pair for pair, _ in g.pairs),
-                                  tuple(v for _, v in g.labels))
+    order, levels, separators = _make_plan(g.vertex_count,
+                                           tuple(pair for pair, _ in g.pairs),
+                                           tuple(v for _, v in g.labels))
     back = tuple(tuple((w, g.pairs[idx][1]) for w, idx in ready)
                  for ready in levels)
     mass = [sum(m for _, m in edges) for edges in back]
     classes = _twin_classes(_adjacency(g), order[g.k:])
     previous = {v: u for c in classes for u, v in zip(c, c[1:])}
     step = {v: i for i, v in enumerate(order)}
-    # reach[i]: the last step that reads step i's vertex, as a back edge or
-    # as a later member of its twin class; a cut step lies past the reach
-    # of every free step before it
-    reach = list(range(len(order)))
-    for j, edges in enumerate(back):
-        for w, _ in edges:
-            reach[step[w]] = j
+    cut = [sep == () for sep in separators] + [False]
     closes = [()] * len(order)
     for c in classes:
-        reach[step[c[0]]] = max(reach[step[c[0]]], step[c[-1]])
         if len(c) > 1:
-            closes[step[c[-1]]] = tuple(c)
-    furthest = tuple(accumulate(reach[g.k:], max, initial=g.k))
+            first, last = step[c[0]], step[c[-1]]
+            cut[first + 1:last + 1] = [False] * (last - first)
+            closes[last] = tuple(c)
     record.plan = _Plan(
         order, back, tuple(accumulate(reversed(mass), initial=0))[::-1],
         tuple(record.degree[v] for v in order),
-        tuple(previous.get(v, -1) for v in order), tuple(closes),
-        tuple(g.k < i < len(order) and furthest[i - g.k] < i
-              for i in range(len(order) + 1)))
+        tuple(previous.get(v, -1) for v in order), tuple(closes), tuple(cut))
     return record.plan
 
 
@@ -310,9 +305,6 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
     depth = len(order)
     choices = [(c,) for _, c in g.labels] + [range(nv)] * (depth - g.k)
     fiber_cap = h.vertex_count if k is None else k
-    # with equal edge counts every leaf loads each g-pair with exactly its m
-    # copies, so its edge maps are the m! bijections on each pair
-    leaf = tgt.edge_maps if spare == 0 else 0
     cap = limits.max_maps
     nodes = 0
     memo: dict[tuple[int, ...], int] = {}
@@ -329,8 +321,6 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
         if nodes > cap:
             raise limits.exceeded("max_maps", f"search visited {nodes} nodes")
         if i == depth:
-            if leaf:
-                return leaf
             ways = 1
             for (a, b), m in g.pairs:
                 ways *= _count_surjections(load[a][b], m)

@@ -558,11 +558,23 @@ def graph_to_json(g: Multigraph) -> dict:
     return obj
 
 
+def _json_int(x) -> int:
+    """x if it is a JSON integer, else TypeError (2.5, 2.0, "2" and true
+    are not)."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def graph_from_json(obj: Mapping) -> Multigraph:
+    """The graph of a JSON object: an integer vertex count, edges as
+    integer pairs or (u, v, multiplicity) triples, and labels mapping
+    integer-string keys to vertices; ValueError if malformed."""
     try:
-        vertices = int(obj["vertices"])
-        edges = [tuple(int(x) for x in e) for e in obj.get("edges", [])]
-        labels = {int(lab): int(v) for lab, v in obj.get("labels", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices = _json_int(obj["vertices"])
+        edges = [tuple(map(_json_int, e)) for e in obj.get("edges", [])]
+        labels = {int(lab): _json_int(v)
+                  for lab, v in obj.get("labels", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph object: {exc}") from exc
     return Multigraph(vertices, edges, labels)

@@ -26,7 +26,7 @@ from .morphisms import surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
                          enumerate_Hnp, glue_product, graph_from_json,
                          graph_signature, graph_to_json, pad_labels,
-                         surjection_positions)
+                         surjection_positions, _json_int)
 from .stepkernel import StepKernel, basis_edge, _to_fraction
 
 
@@ -166,7 +166,7 @@ def quantum_to_json(F: QuantumGraph) -> dict:
 
 def quantum_from_json(obj: Mapping) -> QuantumGraph:
     try:
-        k = int(obj.get("k", 0))
+        k = _json_int(obj.get("k", 0))
         terms = [(graph_from_json(t["graph"]), Fraction(str(t["coeff"])))
                  for t in obj.get("terms", [])]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -240,8 +240,7 @@ class PowerSeries:
             raise ValueError("a labelled series needs pins")
         pins = dict(pins or {})
         if sorted(pins) != list(range(1, k + 1)):
-            if k or pins:
-                raise ValueError("pins must cover labels 1..k exactly")
+            raise ValueError("pins must cover labels 1..k exactly")
         if complete is None:
             complete = tail is None
         if tail is not None:
@@ -541,7 +540,9 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
     with |Aut(H)| on its diagonal, so the coefficients come out by back
     substitution from the last class, listed in its order.  The residual
     is the full product against S, so a nonzero count above the diagonal
-    fails it.
+    fails it.  Degree 0 is the same solve on the 1 x 1 table [[1]] of the
+    empty graph, whose basis tuple is empty: its coefficient is the value
+    at 0.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -549,9 +550,9 @@ def taylor_recover(oracle: DerivativeOracle, N: int, p: int, *,
         raise ValueError("need p >= 2N (and p >= 2)")
     if N >= 2:
         _spot_check_oracle(oracle, p)
-    degree_coeffs = [(0, ((Multigraph(0), oracle(())),))]
-    residuals = [(0, True)]
-    for n in range(1, N + 1):
+    degree_coeffs = []
+    residuals = []
+    for n in range(N + 1):
         classes, S = surjection_table(n, limits=limits)
         values = [oracle(basis_tuple(g, p)) for g in classes]
         x = [_ZERO] * len(classes)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _json_int
 
 
 def _to_fraction(x) -> Fraction:
@@ -284,7 +284,7 @@ def kernel_to_json(f: StepKernel) -> dict:
 
 def kernel_from_json(obj: Mapping) -> StepKernel:
     try:
-        parts = int(obj["parts"])
+        parts = _json_int(obj["parts"])
         matrix = obj["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed kernel object: {exc}") from exc

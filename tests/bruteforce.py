@@ -4,18 +4,19 @@ Everything here is deliberately naive: full permutation scans, explicit
 enumeration of vertex and edge maps, exhaustive subset searches, and the
 library's earlier implementations, kept as references for the code that
 replaced them (the plain backtracking homomorphism and surjection
-searches, the twin-folding surjection search without its memo, the dense
-Gaussian elimination, the class listing that extends every class by every
-edge, the plain backtracking density core and the derivative summed over
-every slot assignment).  None of it shares code with the production
-implementations, except that the fixed-vertex-count enumeration and the
-augment-everything class listing dedup and order by `canonical_key`, that
-`twin_fold_surjection_sum` takes its vertex order from `density._make_plan`
-and its twin classes from `multigraph._twin_classes`, that
-`recomputing_verify_structure`, the structure check by independent
-routes, reads the library's scale matrices and derivatives, and that
-`permutation_gateaux` evaluates each assignment with the library's
-`density._evaluate`.
+searches, the twin-folding surjection search without its memo, the
+surjection-search plan with its cut steps derived from each step's reach,
+the dense Gaussian elimination, the class listing that extends every class
+by every edge, the plain backtracking density core and the derivative
+summed over every slot assignment).  None of it shares code with the
+production implementations, except that the fixed-vertex-count
+enumeration and the augment-everything class listing dedup and order by
+`canonical_key`, that `twin_fold_surjection_sum` and `reach_source_plan`
+take their vertex order from `density._make_plan` and their twin classes
+from `multigraph._twin_classes`, that `recomputing_verify_structure`, the
+structure check by independent routes, reads the library's scale matrices
+and derivatives, and that `permutation_gateaux` evaluates each assignment
+with the library's `density._evaluate`.
 """
 
 from __future__ import annotations
@@ -478,6 +479,47 @@ def _twin_fold_plan(h: Multigraph):
     previous = {v: u for c in classes for u, v in zip(c, c[1:])}
     return (order, back, rest, h_degree, [previous.get(v, -1) for v in order],
             [c for c in classes if len(c) > 1])
+
+
+def reach_source_plan(g: Multigraph) -> tuple:
+    """The library's surjection-search plan of g as a source, as it was
+    built before the cut steps were read off the density plan's
+    separators: (order, back edges, edge mass from each step on, degrees,
+    previous twins, the twin class each step completes, cut steps).
+
+    Each step's reach is the last step that reads its vertex, as a back
+    edge or, for the first member of a twin class, as the class's last
+    member; a cut step comes after the labelled vertices and before the
+    last step, past the reach of every free step before it."""
+    degree = [0] * g.vertex_count
+    for (u, v), m in g.pairs:
+        degree[u] += m
+        degree[v] += m
+    order, levels, _ = _make_plan(g.vertex_count,
+                                  tuple(pair for pair, _ in g.pairs),
+                                  tuple(v for _, v in g.labels))
+    back = tuple(tuple((w, g.pairs[idx][1]) for w, idx in ready)
+                 for ready in levels)
+    rest = tuple(itertools.accumulate(
+        reversed([sum(m for _, m in edges) for edges in back]),
+        initial=0))[::-1]
+    classes = _twin_classes(_adjacency(g), order[g.k:])
+    previous = {v: u for c in classes for u, v in zip(c, c[1:])}
+    step = {v: i for i, v in enumerate(order)}
+    reach = list(range(len(order)))
+    for j, edges in enumerate(back):
+        for w, _ in edges:
+            reach[step[w]] = j
+    closes = [()] * len(order)
+    for c in classes:
+        reach[step[c[0]]] = max(reach[step[c[0]]], step[c[-1]])
+        if len(c) > 1:
+            closes[step[c[-1]]] = tuple(c)
+    furthest = tuple(itertools.accumulate(reach[g.k:], max, initial=g.k))
+    cut = tuple(g.k < i < len(order) and furthest[i - g.k] < i
+                for i in range(len(order) + 1))
+    return (tuple(order), back, rest, tuple(degree[v] for v in order),
+            tuple(previous.get(v, -1) for v in order), tuple(closes), cut)
 
 
 def classical_simple_hom(h: Multigraph, g: Multigraph) -> int:

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, calculus, canonical_key,
                          complete_graph, count_surj, cycle_graph, density,
-                         enumerate_Hn, enumerate_Hnp, extract_T, gamma,
-                         gateaux_exact, gateaux_numeric, matching, multigraph,
-                         parallel_edges, path_graph, permute_parts,
+                         enumerate_Hn, enumerate_Hnp, eval_quantum, extract_T,
+                         gamma, gateaux_exact, gateaux_numeric, matching,
+                         multigraph, parallel_edges, path_graph, permute_parts,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated, verify_structure)
 
@@ -90,6 +90,16 @@ class TestGateauxExact:
         assert gateaux_exact(F, DerivativeRequest(base, ())) == \
             3 * density(single_edge(), base) \
             - 2 * density(complete_graph(3), base)
+
+    def test_order_zero_at_the_zero_kernel(self):
+        # the orbit sum with no directions skips every term with an edge
+        # there; the edgeless ones, the empty graph included, have density 1
+        F = QuantumGraph([(Multigraph(0), Fraction(5, 2)),
+                          (Multigraph(3), -1), (single_edge(), 7),
+                          (path_graph(2), Fraction(1, 3))])
+        zero = StepKernel.zero(3)
+        value = gateaux_exact(F, DerivativeRequest(zero, ()))
+        assert value == Fraction(3, 2) == eval_quantum(F, zero)
 
     def test_multilinearity(self):
         rng = random.Random(4)
@@ -204,6 +214,23 @@ class TestGateauxNumeric:
         a = gateaux_numeric(F, DerivativeRequest(base, (g1, g2)))
         b = gateaux_numeric(F, DerivativeRequest(base, (g2, g1)))
         assert a == b
+
+    def test_order_zero_is_evaluation(self):
+        rng = random.Random(11)
+        F = (QuantumGraph.from_graph(single_edge(), 3)
+             + QuantumGraph.from_graph(complete_graph(3), -2))
+        base = _interior_kernel(rng, 2)
+        assert gateaux_numeric(F, DerivativeRequest(base, ())) == \
+            float(eval_quantum(F, base))
+
+    @pytest.mark.parametrize("step", [0, Fraction(-1, 100), -0.5])
+    def test_step_must_be_positive(self, step):
+        rng = random.Random(12)
+        base = _interior_kernel(rng, 2)
+        F = QuantumGraph.from_graph(single_edge())
+        for dirs in ((), (_interior_kernel(rng, 2),)):
+            with pytest.raises(ValueError, match="step must be positive"):
+                gateaux_numeric(F, DerivativeRequest(base, dirs), step)
 
     def test_order_cap(self):
         F = QuantumGraph.from_graph(star_graph(4))

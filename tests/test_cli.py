@@ -66,6 +66,68 @@ class TestExitCodes:
         assert "invalid input: malformed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["aut", "--graph", "x"], {"vertices": 2, "edges": [[0, 1]],
+                                   "labels": [1]},
+         "malformed graph object"),
+        # each number below was truncated to an integer and read as
+        # another input
+        (["aut", "--graph", "x"], {"vertices": 2.7, "edges": [[0, 1]]},
+         "malformed graph object: 2.7 is not an integer"),
+        (["aut", "--graph", "x"], {"vertices": 2, "edges": [[0, 1.9]]},
+         "malformed graph object: 1.9 is not an integer"),
+        (["aut", "--graph", "x"], {"vertices": 2, "edges": [[0, 1, 2.0]]},
+         "malformed graph object: 2.0 is not an integer"),
+        (["aut", "--graph", "x"], {"vertices": 2, "edges": [[0, 1]],
+                                   "labels": {"1": 0.5}},
+         "malformed graph object: 0.5 is not an integer"),
+        (["density", "--graph", "k2", "--kernel", "x"],
+         {"parts": 2.5, "matrix": [["1/2", "1/2"], ["1/2", "1/2"]]},
+         "malformed kernel object: 2.5 is not an integer"),
+        (["derivative", "--F", "x", "--base", "kernel"],
+         {"k": 1.5, "terms": []},
+         "malformed quantum graph object: 1.5 is not an integer")],
+        ids=["labels-array", "vertices", "endpoint", "multiplicity",
+             "label-vertex", "parts", "k"])
+    def test_malformed_fields(self, files, capsys, argv, payload, message):
+        paths = {"x": files("x.json", payload),
+                 "k2": files("k2.json", _k2_json()),
+                 "kernel": files("kernel.json", _kernel_json())}
+        assert run([paths.get(x, x) for x in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid input: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-maps", "-5", "aut", "--graph", "k2"],
+         "invalid input: max_maps must be at least 0, not -5"),
+        (["enumerate", "-n", "2", "-k", "1", "--pvertices", "3"],
+         "error: --pvertices only applies to unlabelled classes"),
+        (["aut", "--graph", "missing"], "error: cannot read {missing}"),
+        (["aut", "--graph", "truncated"],
+         "invalid input: malformed JSON in {truncated}"),
+        (["interpolate", "--points", "kernel", "kernel", "--values", "1"],
+         "error: need exactly one value per point"),
+        (["series-eval", "--terms", "labelled", "--kernel", "kernel",
+          "-N", "1"],
+         "error: series-eval handles unlabelled polynomial series")],
+        ids=["negative-cap", "pvertices-with-labels", "unreadable-file",
+             "malformed-json", "values-short-of-points", "labelled-series"])
+    def test_refused_input(self, tmp_path, files, capsys, argv, message):
+        (tmp_path / "truncated.json").write_text('{"vertices": 2,')
+        paths = {"k2": files("k2.json", _k2_json()),
+                 "kernel": files("kernel.json", _kernel_json()),
+                 "labelled": files("labelled.json", quantum_to_json(
+                     QuantumGraph.from_graph(Multigraph(2, [(0, 1)],
+                                                        {1: 0})))),
+                 "missing": str(tmp_path / "missing.json"),
+                 "truncated": str(tmp_path / "truncated.json")}
+        assert run([paths.get(x, x) for x in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message.format(**paths) in captured.err
+
     @pytest.mark.parametrize("args", [
         ["-n", "0"], ["-n", "2", "-k", "1"], ["-n", "2", "-k", "0"],
         ["-n", "2", "-p", "1"]])

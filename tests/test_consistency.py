@@ -54,6 +54,30 @@ class TestPiFormula:
         with pytest.raises(ArithmeticError, match="positive multiple"):
             pi_formula(2, 2)
 
+    def test_zero_diagonal_raises(self, monkeypatch):
+        table = consistency.surjection_table
+
+        def zeroed(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            classes, rows = table(n, labels, k, limits=limits)
+            return classes, ((0, *rows[0][1:]), *rows[1:])
+
+        monkeypatch.setattr(consistency, "surjection_table", zeroed)
+        with pytest.raises(ArithmeticError, match="not a positive multiple"):
+            pi_formula(2, 2)
+
+    def test_entry_not_divisible_by_aut_raises(self, monkeypatch):
+        # the last 2-edge class, the 2-matching, has 8 automorphisms
+        table = consistency.surjection_table
+
+        def skewed(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            classes, rows = table(n, labels, k, limits=limits)
+            return classes, (*rows[:-1], (rows[-1][0] + 1, *rows[-1][1:]))
+
+        monkeypatch.setattr(consistency, "surjection_table", skewed)
+        with pytest.raises(ArithmeticError,
+                           match=r"is not divisible by \|Aut\| = 8"):
+            pi_formula(2, 2)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matching_column_law(self, n, k):
@@ -212,6 +236,24 @@ class TestStructureReport:
     def test_rejects_inputs_with_nothing_to_check(self, args, message):
         with pytest.raises(ValueError, match=message):
             verify_structure(*args)
+
+    def test_zero_diagonal_fails_triangularity(self, monkeypatch):
+        formula = consistency.pi_formula
+
+        def zeroed(n, k, *, limits=DEFAULT_LIMITS):
+            matrix = formula(n, k, limits=limits)
+            if k != 2:
+                return matrix
+            table = [list(row) for row in matrix.table]
+            table[0][0] = 0
+            return ConsistencyMatrix(n, k, matrix.classes,
+                                     tuple(map(tuple, table)))
+
+        monkeypatch.setattr(consistency, "pi_formula", zeroed)
+        report = verify_structure(2, p_max=4, k_max=2)
+        failed = {c.name: c.detail for c in report.checks if not c.passed}
+        assert failed["triangularity k=2"] == "non-positive diagonal"
+        assert not report.passed
 
     def test_corrupted_surjection_count_fails_the_relation(self, monkeypatch):
         # the report and `surjection_matrix` both read S through their own

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,13 @@ class TestUnlabelledDensity:
                            r"the max_vertices cap of 8 \(raise it with "
                            r"--max-vertices\)"):
             density(star_graph(9), StepKernel.constant(Fraction(1, 2)))
+
+    @pytest.mark.parametrize("cap", [cap.name for cap in fields(Limits)])
+    def test_negative_caps_are_refused(self, cap):
+        with pytest.raises(ValueError, match=f"{cap} must be at least 0, not -1"):
+            Limits(**{cap: -1})
+        # a cap of 0 stays valid: it refuses any work the cap counts
+        assert getattr(Limits(**{cap: 0}), cap) == 0
 
     def test_node_cap_bounds_the_density_search(self):
         f = random_kernel(random.Random(22), 4, lo=1)

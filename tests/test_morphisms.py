@@ -25,7 +25,8 @@ from .bruteforce import (backtrack_hom, backtrack_surj,
                          inclusion_exclusion_surj, random_blow_up,
                          random_image, random_image_short_of,
                          random_labelled, random_multigraph,
-                         random_union_of_components, twin_fold_surjection_sum)
+                         random_union_of_components, reach_source_plan,
+                         twin_fold_surjection_sum)
 
 
 class TestHom:
@@ -308,6 +309,36 @@ class TestComponentMemo:
         assert table == tuple(
             tuple(twin_fold_surjection_sum(h, g, k) for g in classes)
             for h in classes)
+
+
+class TestSourcePlan:
+    """The search plan takes its cut steps from the density plan's empty
+    separators, less the steps a twin class spans: the whole plan against
+    the one built when each cut step was derived from every step's reach."""
+
+    @staticmethod
+    def _plan(g):
+        return morphisms._source_plan(g, morphisms._record(g))
+
+    @pytest.mark.parametrize("n, labels", [
+        *((n, labels) for n in range(4) for labels in range(4)),
+        (4, 0), (4, 1), (4, 2), (5, 0), (6, 0)])
+    def test_every_class(self, n, labels):
+        plans = [self._plan(g) for g in enumerate_Hn(n, labels)]
+        assert plans == [reach_source_plan(g)
+                         for g in enumerate_Hn(n, labels)]
+        if n >= 2:
+            assert any(any(plan.cut) for plan in plans)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(2, 6),
+           st.integers(0, 3))
+    def test_isolated_vertices_are_twins_across_components(self, rng, parts,
+                                                          labels):
+        h, _ = random_union_of_components(rng, parts)
+        assume(h.vertex_count >= labels)
+        h = random_labelled(rng, h, labels)
+        assert self._plan(h) == reach_source_plan(h)
 
 
 class TestSurjectionTable:

@@ -109,6 +109,13 @@ class TestRadius:
         S = PowerSeries({})
         assert radius_of_convergence(S).lower == math.inf
 
+    @pytest.mark.parametrize("k, pins", [
+        (2, {1: Fraction(1, 3)}), (1, {2: Fraction(1, 3)}),
+        (0, {1: Fraction(1, 3)}), (1, {1: Fraction(1, 3), 2: Fraction(2, 3)})])
+    def test_pins_must_cover_the_labels(self, k, pins):
+        with pytest.raises(ValueError, match="pins must cover labels 1..k"):
+            PowerSeries({}, k=k, pins=pins)
+
     def test_truncation_only_is_heuristic(self):
         S = PowerSeries({3: QuantumGraph.from_graph(complete_graph(3),
                                                     Fraction(1, 2))},
@@ -365,6 +372,23 @@ class TestTaylorRecover:
                               for g in support])
             report = taylor_recover(self._oracle_for(F, 6), 3, 6)
             assert report.as_quantum() == F
+
+    def test_degree_zero_is_solved_on_the_empty_graph_table(self, monkeypatch):
+        """Degree 0 is the 1 x 1 table S_0 = [[1]] of the empty graph, solved
+        and checked as every other degree: a table reading 2 halves the
+        constant coefficient."""
+        assert series.surjection_table(0) == ((Multigraph(0),), ((1,),))
+        table = series.surjection_table
+
+        def doubled(n, labels=0, k=None, *, limits=DEFAULT_LIMITS):
+            return (table(n, labels, k, limits=limits) if n else
+                    ((Multigraph(0),), ((2,),)))
+
+        monkeypatch.setattr(series, "surjection_table", doubled)
+        report = taylor_recover(lambda dirs: Fraction(0 if dirs else 7), 1, 2)
+        assert report.degree_coefficients[0] == (
+            0, ((Multigraph(0), Fraction(7, 2)),))
+        assert report.residual_ok == ((0, True), (1, True))
 
     def test_one_oracle_call_per_class(self):
         calls = []
