@@ -13,11 +13,12 @@ sit on each pair of H.  An automorphism of H moves a labelling to another
 with the same density, so `gateaux_exact` evaluates one labelling per orbit,
 with equal kernels on a pair merged into one factor with an exponent, and
 weights it by the number of slot assignments in the orbit.  The orbits are
-the isomorphism classes of H with each pair's multiplicity replaced by a
-code for what the pair carries, decided by `canonical_key`; since the codes
-determine the multiplicities, these classes are exactly the orbits, however
-large Aut(H) is.  At the zero kernel only terms with as many edges as
-directions are evaluated: a copy left on the base zeroes its term.
+found from a generating set of Aut(H) (`automorphism_generators`, read off
+the search behind `canonical_key`) acting on H's pairs: each labelling is
+joined with its images under the generators, so the orbits are exact
+however large Aut(H) is, and no labelling is canonicalized.  At the zero
+kernel only terms with as many edges as directions are evaluated: a copy
+left on the base zeroes its term.
 
 The orbit table of a term depends only on H and the number of directions
 in each class, and `gateaux_exact` numbers the direction classes by
@@ -55,8 +56,8 @@ from typing import Sequence
 
 from .density import _evaluate, density
 from .limits import DEFAULT_LIMITS, Limits
-from .multigraph import (Multigraph, canonical_key, enumerate_Hnp, single_edge,
-                         star_graph)
+from .multigraph import (Multigraph, automorphism_generators, canonical_key,
+                         enumerate_Hnp, single_edge, star_graph)
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
                          _to_fraction)
@@ -116,27 +117,46 @@ def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], 
     (`Multigraph._tables`, by counts), so H builds one table per such key
     in its lifetime.
 
-    The orbits are the `canonical_key` classes of H with each pair's
-    multiplicity replaced by a code for (multiplicity, labelling row),
-    injective within the table.  Codes determine multiplicities, so an
-    isomorphism of two coded graphs is an automorphism of H carrying one
-    labelling to the other, and every such automorphism is one: the classes
-    are exactly the orbits.
+    The orbits are closed under Aut(H) acting on H's pairs: each one is
+    grown from its first labelling in `_labellings` order by the images
+    under `automorphism_generators(H)` until none is new (Butler,
+    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), and
+    the orbits are listed by their first labellings.  A missing generator
+    would split orbits, costing evaluations but no exactness: a labelling's
+    density and weight are invariant under Aut(H).
 
     A labelling with L[i][c] directions of class c on pair i comes from
     prod_c counts[c]! / prod_i L[i][c]! choices of which directions go where,
     times mults[i]! / (mults[i] - |L[i]|)! placements on each pair's copies.
     """
-    codes: dict[tuple, int] = {}
-    orbits: dict[bytes, list] = {}
-    for labels in _labellings([m for _, m in H.pairs], counts):
-        coded = Multigraph(H.vertex_count, [
-            (u, v, codes.setdefault((mult, row), len(codes) + 1))
-            for ((u, v), mult), row in zip(H.pairs, labels)])
-        orbits.setdefault(canonical_key(coded), [labels, 0])[1] += 1
+    index = {pair: i for i, (pair, _) in enumerate(H.pairs)}
+    moves = []
+    for perm in automorphism_generators(H):
+        image = [index[min(perm[u], perm[v]), max(perm[u], perm[v])]
+                 for (u, v), _ in H.pairs]
+        # a labelling's image puts on pair j what pair source[j] carried
+        source = sorted(range(len(image)), key=image.__getitem__)
+        if source != sorted(source):
+            moves.append(source)
+    seen: set[tuple] = set()
+    orbits = []
+    for first in _labellings([m for _, m in H.pairs], counts):
+        if first in seen:
+            continue
+        seen.add(first)
+        stack, size = [first], 0
+        while stack:
+            labels = stack.pop()
+            size += 1
+            for source in moves:
+                image = tuple(map(labels.__getitem__, source))
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+        orbits.append((first, size))
     choices = math.prod(map(math.factorial, counts))
     out = []
-    for labels, size in orbits.values():
+    for labels, size in orbits:
         weight = choices * size
         factors = []
         for ((u, v), mult), row in zip(H.pairs, labels):

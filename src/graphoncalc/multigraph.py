@@ -7,8 +7,10 @@ unordered vertex pairs.  A partial labelling is an injective map from
 The central service is :func:`canonical_key`: a totally ordered byte string
 that is equal for two graphs exactly when they are isomorphic by a
 label-preserving node-and-edge isomorphism.  Everything downstream
-(enumeration, quantum-graph bookkeeping, class indexing, the orbits of the
-derivative sum) dedups on it; it is the library's one symmetry tool.
+(enumeration, quantum-graph bookkeeping, class indexing) dedups on it.
+The same search also yields :func:`automorphism_generators`, a generating
+set of a graph's automorphism group, from which `calculus` finds the orbits
+of the derivative sum.
 """
 
 from __future__ import annotations
@@ -211,7 +213,6 @@ def _twin_classes(adj, verts: Sequence[int]) -> list[list[int]]:
 
 def _encode_ordering(order: list[int], adj, label_of: dict[int, int]) -> tuple:
     m = len(order)
-    pos = {v: i for i, v in enumerate(order)}
     flat = []
     for i in range(m):
         row = adj[order[i]]
@@ -220,7 +221,19 @@ def _encode_ordering(order: list[int], adj, label_of: dict[int, int]) -> tuple:
     return (m, tuple(label_of.get(v, 0) for v in order), tuple(flat))
 
 
-def _canon_component(verts: tuple[int, ...], adj, label_of: dict[int, int]) -> tuple:
+def _canon_component(verts: tuple[int, ...], adj,
+                     label_of: dict[int, int]) -> tuple[tuple, list[list[int]]]:
+    """The least encoding (`_encode_ordering`) of a connected component
+    over the leaves of its search tree, and every leaf ordering that reaches
+    it, in search order.
+
+    The search refines colours, then branches on the first non-singleton
+    cell, one vertex per twin class of it.  Two leaves with the least
+    encoding differ by an automorphism of the component (McKay and Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 2014), and the
+    leaves a twin branch skips are images of explored ones under twin
+    swaps.
+    """
     init: dict[int, object] = {}
     for v in verts:
         lab = label_of.get(v)
@@ -239,30 +252,26 @@ def _canon_component(verts: tuple[int, ...], adj, label_of: dict[int, int]) -> t
                 break
         if target is None:
             order = sorted(verts, key=colours.__getitem__)
-            return _encode_ordering(order, adj, label_of)
+            return _encode_ordering(order, adj, label_of), [order]
         best = None
         # swapping twins is an automorphism, so branching on one member
         # per twin class is enough
         for u, *_ in _twin_classes(adj, target):
             branched = {v: (colours[v], 0 if v == u else 1) for v in verts}
-            enc = search(_normalize_colours(branched))
+            enc, leaves = search(_normalize_colours(branched))
             if best is None or enc < best:
-                best = enc
-        return best
+                best, best_leaves = enc, leaves
+            elif enc == best:
+                best_leaves += leaves
+        return best, best_leaves
 
     return search(colours)
 
 
-def canonical_key(g: Multigraph) -> bytes:
-    """A byte string equal for two graphs iff they are label-isomorphic.
-
-    Unlabelled isolated vertices are interchangeable, so they enter the key
-    only through the total vertex count; the rest of the graph is
-    canonicalized component by component with partition refinement and
-    individualization (twin classes are branched once).
-    """
-    if g._key is not None:
-        return g._key
+def _components(g: Multigraph
+                ) -> tuple[dict, dict[int, int], list[tuple[int, ...]]]:
+    """g's adjacency (`_adjacency`), its vertex -> label map, and the vertex
+    sets of its components apart from unlabelled isolated vertices."""
     adj = _adjacency(g)
     label_of = {v: lab for lab, v in g.labels}
     active = sorted(v for v in range((g.vertex_count))
@@ -282,11 +291,52 @@ def canonical_key(g: Multigraph) -> bytes:
     comps: dict[int, list[int]] = {}
     for v in active:
         comps.setdefault(find(v), []).append(v)
-    encodings = sorted(
-        _canon_component(tuple(vs), adj, label_of) for vs in comps.values())
+    return adj, label_of, [tuple(vs) for vs in comps.values()]
+
+
+def canonical_key(g: Multigraph) -> bytes:
+    """A byte string equal for two graphs iff they are label-isomorphic.
+
+    Unlabelled isolated vertices are interchangeable, so they enter the key
+    only through the total vertex count; the rest of the graph is
+    canonicalized component by component with partition refinement and
+    individualization (twin classes are branched once).
+    """
+    if g._key is not None:
+        return g._key
+    adj, label_of, comps = _components(g)
+    encodings = sorted(_canon_component(vs, adj, label_of)[0] for vs in comps)
     key = repr((g.vertex_count, encodings)).encode()
     object.__setattr__(g, "_key", key)
     return key
+
+
+def automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
+    """Vertex permutations (v -> perm[v]) that generate the group of g's
+    label-preserving automorphisms, from the search `canonical_key` runs:
+    - per component, the map from its first least-encoding leaf ordering
+      (`_canon_component`) to each other one;
+    - per two components with equal encodings, consecutive in encoding
+      order, the swap of one's first ordering with the other's;
+    - the swaps of consecutive members of each unlabelled twin class.
+    An automorphism of a component carries its first leaf to a leaf with the
+    same encoding; twin swaps carry that leaf to an explored one, which a
+    leaf map reaches.  So the first and third kinds generate each
+    component's group, and the second permutes isomorphic components.
+    """
+    adj, label_of, comps = _components(g)
+    searched = sorted((_canon_component(vs, adj, label_of) for vs in comps),
+                      key=lambda found: found[0])
+    moves = [zip(first, other)
+             for _, (first, *others) in searched for other in others]
+    moves += [zip(a + b, b + a)
+              for (x, (a, *_)), (y, (b, *_)) in itertools.pairwise(searched)
+              if x == y]
+    unlabelled = [v for v in range(g.vertex_count) if v not in label_of]
+    moves += [((a, b), (b, a)) for members in _twin_classes(adj, unlabelled)
+              for a, b in itertools.pairwise(members)]
+    return [tuple(move.get(v, v) for v in range(g.vertex_count))
+            for move in map(dict, moves)]
 
 
 def padded_key(key: bytes, vertex_count: int) -> bytes:

@@ -36,6 +36,8 @@ class QuantumGraph:
     __slots__ = ("k", "_terms")
 
     def __init__(self, terms: Iterable[tuple[Multigraph, object]] = (), k: int = 0):
+        if k < 0:
+            raise ValueError(f"label count k must be at least 0, not {k}")
         items = [(g, _to_fraction(c)) for g, c in terms]
         k = max([k, *(g.k for g, _ in items)])
         merged: dict[bytes, tuple[Multigraph, Fraction]] = {}

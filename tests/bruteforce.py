@@ -7,11 +7,13 @@ replaced them (the plain backtracking homomorphism and surjection
 searches, the twin-folding surjection search without its memo, the
 surjection-search plan with its cut steps derived from each step's reach,
 the dense Gaussian elimination, the class listing that extends every class
-by every edge, the plain backtracking density core and the derivative
-summed over every slot assignment).  None of it shares code with the
-production implementations, except that the fixed-vertex-count
+by every edge, the plain backtracking density core, the derivative
+summed over every slot assignment and `keyed_orbits`, the derivative orbit
+table found by one `canonical_key` per labelling).  None of it shares code
+with the production implementations, except that the fixed-vertex-count
 enumeration and the augment-everything class listing dedup and order by
-`canonical_key`, that `twin_fold_surjection_sum` and `reach_source_plan`
+`canonical_key`, that `keyed_orbits` lists its labellings with
+`calculus._labellings`, that `twin_fold_surjection_sum` and `reach_source_plan`
 take their vertex order from `density._make_plan` and their twin classes
 from `multigraph._twin_classes`, that `recomputing_verify_structure`, the
 structure check by independent routes, reads the library's scale matrices
@@ -24,12 +26,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, factorial, lcm, perm, prod
 
 from graphoncalc import (DEFAULT_LIMITS, Multigraph, QuantumGraph, StepKernel,
                          canonical_key, consistency, count_surj, enumerate_Hn,
                          enumerate_Hnp, graph_signature, linalg, strip_isolated,
                          surjection_total_order)
+from graphoncalc.calculus import _labellings
 from graphoncalc.consistency import StructureCheck, StructureReport
 from graphoncalc.density import _evaluate, _make_plan
 from graphoncalc.multigraph import _adjacency, _twin_classes
@@ -756,6 +759,38 @@ def brute_orbit_count(H: Multigraph, counts) -> int:
         return tuple(out)
 
     return len({min(image(L, move) for move in moves) for L in labellings})
+
+
+def keyed_orbits(H: Multigraph, counts) -> tuple[tuple[tuple, int], ...]:
+    """`calculus._orbits` with one `canonical_key` per labelling: the
+    orbits are the key classes of H with each pair's multiplicity replaced
+    by a code for (multiplicity, labelling row), injective within the
+    table.  Codes determine multiplicities, so an isomorphism of two coded
+    graphs is an automorphism of H carrying one labelling to the other, and
+    the classes are exactly the orbits.  Same factors, weights and order as
+    the library's table."""
+    codes: dict[tuple, int] = {}
+    orbits: dict[bytes, list] = {}
+    for labels in _labellings([m for _, m in H.pairs], counts):
+        coded = Multigraph(H.vertex_count, [
+            (u, v, codes.setdefault((mult, row), len(codes) + 1))
+            for ((u, v), mult), row in zip(H.pairs, labels)])
+        orbits.setdefault(canonical_key(coded), [labels, 0])[1] += 1
+    choices = prod(map(factorial, counts))
+    out = []
+    for labels, size in orbits.values():
+        weight = choices * size
+        factors = []
+        for ((u, v), mult), row in zip(H.pairs, labels):
+            if not any(row):
+                factors.append((u, v, 0, mult))
+                continue
+            weight = weight * perm(mult, sum(row)) \
+                // prod(map(factorial, row))
+            factors += [(u, v, c, e) for c, e in
+                        enumerate((row[0] + mult - sum(row), *row[1:])) if e]
+        out.append((tuple(factors), weight))
+    return tuple(out)
 
 
 def recomputing_verify_structure(n: int, p_max: int | None = None,

@@ -15,7 +15,7 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated, verify_structure)
 
-from .bruteforce import (backtrack_density, brute_orbit_count,
+from .bruteforce import (backtrack_density, brute_orbit_count, keyed_orbits,
                          permutation_gateaux, random_kernel, random_multigraph,
                          random_signed_kernel, random_sparse_kernel)
 
@@ -342,6 +342,16 @@ class TestExtractT:
                         F, DerivativeRequest(StepKernel.zero(p), dirs))
 
 
+def _partitions(m: int, top: int | None = None):
+    """The partitions of m into parts of at most `top`, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, top or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first, *rest)
+
+
 def _counting_evaluate(monkeypatch) -> list:
     """Record one entry per `density._evaluate` call made by `calculus`."""
     calls = []
@@ -374,6 +384,29 @@ class TestOrbitTables:
         assert set(built) == {(0, 4), (0, 3, 1), (0, 2, 2), (0, 2, 1, 1),
                               (0, 1, 1, 1, 1)}
 
+    @pytest.mark.parametrize("n, tables, orbits, checks, evaluations", [
+        (3, 24, 36, 780, 337),
+        (4, 115, 355, 14_309, 3_073),
+    ])
+    def test_verify_structure_derivative_work(self, monkeypatch, n, tables,
+                                              orbits, checks, evaluations):
+        """The tables, their orbits, the `_vanishes` checks and the
+        `_evaluate` calls of a fresh `verify_structure(n)`: a missing
+        automorphism generator would split orbits and raise the last three."""
+        multigraph._enumerate_classes.cache_clear()
+        sizes = []
+        real_orbits = calculus._orbits
+        monkeypatch.setattr(calculus, "_orbits", lambda H, counts: (
+            table := real_orbits(H, counts), sizes.append(len(table)))[0])
+        checked = []
+        real_vanishes = calculus._vanishes
+        monkeypatch.setattr(calculus, "_vanishes", lambda *args: (
+            checked.append(1), real_vanishes(*args))[1])
+        evaluated = _counting_evaluate(monkeypatch)
+        assert verify_structure(n).passed
+        assert (len(sizes), sum(sizes), len(checked), len(evaluated)) \
+            == (tables, orbits, checks, evaluations)
+
     def test_reversed_directions_share_the_table(self, monkeypatch):
         built = _counting_tables(monkeypatch)
         rng = random.Random(18)
@@ -399,7 +432,7 @@ class TestOrbitTables:
 class TestOrbitSum:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_orbits_match_brute_count(self, n):
-        """The canonical-key classes are the Aut(H)-orbits, for the direction
+        """The orbit tables hold one entry per Aut(H)-orbit, for the direction
         class counts of `extract_T`'s basis tuples in the order of their
         edges, the partitions `gateaux_exact` sorts them into, and one of
         order below n; the weights count every slot assignment once."""
@@ -415,6 +448,21 @@ class TestOrbitSum:
                 assert len(orbits) == brute_orbit_count(H, counts)
                 assert sum(w for _, w in orbits) \
                     == math.perm(H.edge_count, sum(counts))
+
+    def test_tables_match_keyed_orbits(self):
+        """Whole tables, factors, weights and order, equal the oracle's that
+        keys each labelling: every class of n <= 4 edges for every key
+        b + lambda, lambda a partition of m <= n and b in {0, n - m} (546
+        tables), and every 5-edge class for (0, lambda), lambda a partition
+        of 5 (462 tables)."""
+        keys = [(H, (b, *part)) for n in range(1, 5) for H in enumerate_Hn(n)
+                for m in range(n + 1) for part in _partitions(m)
+                for b in sorted({0, n - m})]
+        keys += [(H, (0, *part)) for H in enumerate_Hn(5)
+                 for part in _partitions(5)]
+        assert len(keys) == 546 + 462
+        for H, counts in keys:
+            assert calculus._orbits(H, counts) == keyed_orbits(H, counts)
 
     def test_large_groups_are_not_enumerated(self, monkeypatch):
         """Order 1 on K7, K8 or star7: no group is listed, and every pair is

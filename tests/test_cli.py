@@ -111,9 +111,15 @@ class TestExitCodes:
          "error: need exactly one value per point"),
         (["series-eval", "--terms", "labelled", "--kernel", "kernel",
           "-N", "1"],
-         "error: series-eval handles unlabelled polynomial series")],
+         "error: series-eval handles unlabelled polynomial series"),
+        (["series-eval", "--terms", "negative", "--kernel", "kernel",
+          "-N", "1"],
+         "invalid input: label count k must be at least 0, not -1"),
+        (["derivative", "--F", "negative", "--base", "kernel"],
+         "invalid input: label count k must be at least 0, not -1")],
         ids=["negative-cap", "pvertices-with-labels", "unreadable-file",
-             "malformed-json", "values-short-of-points", "labelled-series"])
+             "malformed-json", "values-short-of-points", "labelled-series",
+             "negative-labels-series", "negative-labels-derivative"])
     def test_refused_input(self, tmp_path, files, capsys, argv, message):
         (tmp_path / "truncated.json").write_text('{"vertices": 2,')
         paths = {"k2": files("k2.json", _k2_json()),
@@ -121,12 +127,14 @@ class TestExitCodes:
                  "labelled": files("labelled.json", quantum_to_json(
                      QuantumGraph.from_graph(Multigraph(2, [(0, 1)],
                                                         {1: 0})))),
+                 "negative": files("negative.json", {"k": -1, "terms": []}),
                  "missing": str(tmp_path / "missing.json"),
                  "truncated": str(tmp_path / "truncated.json")}
         assert run([paths.get(x, x) for x in argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message.format(**paths) in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("args", [
         ["-n", "0"], ["-n", "2", "-k", "1"], ["-n", "2", "-k", "0"],

@@ -12,7 +12,7 @@ from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          matching, multigraph, parallel_edges, path_graph,
                          simplify, single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
-from graphoncalc.multigraph import padded_key
+from graphoncalc.multigraph import automorphism_generators, padded_key
 
 from .bruteforce import (augmenting_enumerate_Hn, brute_canonical_key,
                          brute_enumerate_Hn, brute_enumerate_Hnp)
@@ -271,6 +271,20 @@ def _group_order(h: Multigraph) -> int:
     return orbit * _group_order(pinned(free[0]))
 
 
+def _closure_order(generators, vertex_count: int) -> int:
+    """The order of the permutation group the generators generate."""
+    identity = tuple(range(vertex_count))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        element = frontier.pop()
+        for perm in generators:
+            image = tuple(perm[v] for v in element)
+            if image not in group:
+                group.add(image)
+                frontier.append(image)
+    return len(group)
+
+
 class TestAutomorphisms:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -284,6 +298,27 @@ class TestAutomorphisms:
     def test_isolated_vertices_are_permuted(self):
         assert _group_order(Multigraph(5, [(0, 1)])) == 2 * 6
         assert _group_order(Multigraph(5, [(0, 1)], {1: 2})) == 2 * 2
+
+    @pytest.mark.parametrize("n, k", [
+        *((n, 0) for n in range(1, 6)), *((n, 1) for n in range(1, 5)),
+        *((n, 2) for n in range(2, 5)), (3, 3)])
+    def test_generators_generate_the_group(self, n, k):
+        """The generators are automorphisms, and their closure times a
+        permutation of each pair's parallel copies is every node-and-edge
+        automorphism."""
+        for h in enumerate_Hn(n, k):
+            generators = automorphism_generators(h)
+            assert all(h.permuted(perm) == h for perm in generators)
+            copies = math.prod(math.factorial(m) for _, m in h.pairs)
+            assert _closure_order(generators, h.vertex_count) * copies \
+                == count_aut(h)
+
+    def test_generators_permute_isolated_vertices(self):
+        for g, order in ((Multigraph(5, [(0, 1)]), 2 * 6),
+                         (Multigraph(5, [(0, 1)], {1: 2}), 2 * 2),
+                         (matching(3).padded(7), 48)):
+            assert _closure_order(automorphism_generators(g),
+                                  g.vertex_count) == order
 
 
 class TestStripSimplifyGlue:

@@ -93,6 +93,16 @@ class TestQuantumGraph:
                           (parallel_edges(2), -2)])
         assert quantum_from_json(quantum_to_json(F)) == F
 
+    @pytest.mark.parametrize("build", [
+        lambda: QuantumGraph.zero(-2),
+        lambda: QuantumGraph([(single_edge(), 1)], k=-1),
+        lambda: quantum_from_json({"k": -1, "terms": []})],
+        ids=["zero", "with-terms", "json"])
+    def test_negative_label_count_is_refused(self, build):
+        with pytest.raises(ValueError,
+                           match="label count k must be at least 0"):
+            build()
+
 
 class TestRadius:
     def test_geometric_triangle_series(self):
