@@ -41,9 +41,19 @@ is nonzero in every factor on it (the AND of their cell masks is 0): every
 vertex map then reads a zero cell.  The skip is exact but not complete; a
 labelling that passes may still have density 0.
 
+What `gateaux_exact` reads of a request besides F, the kernels refined to
+one part count, grouped into classes and counted, their support masks and
+whether the base is zero, depends on the request alone.  A
+`DerivativeRequest` computes it on first use and keeps it (`prepared`), so
+one request serves any number of combinations F with one preparation;
+`strict` admissibility is still checked on every call.
+
 Evaluating the derivative at the zero kernel on tuples of basis edges and
 indexing the values by the isomorphism class of the tuple's multigraph
 yields the class data that the consistency machinery consumes (`extract_T`).
+The class fixes its basis tuple, so its request is built once and kept on
+the class (`Multigraph._request`): the structure report's `extract_T` calls
+for every density class share one prepared request per class and scale.
 """
 
 from __future__ import annotations
@@ -52,20 +62,38 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .density import _evaluate, density
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, automorphism_generators, canonical_key,
-                         enumerate_Hnp, single_edge, star_graph)
+                         enumerate_Hnp, graph_signature, single_edge,
+                         star_graph)
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
                          _to_fraction)
 
 
+class _Prepared(NamedTuple):
+    """What `gateaux_exact` reads of a request besides its order: one
+    kernel per class of equal kernels, refined to one part count (the
+    base's class first, then by decreasing count), the number of
+    directions in each class, each class's `StepKernel.support`, and
+    whether the base is the zero kernel."""
+
+    kernels: tuple[StepKernel, ...]
+    counts: tuple[int, ...]
+    supports: tuple[tuple[int, int], ...]
+    zero_base: bool
+
+
 @dataclass(frozen=True)
 class DerivativeRequest:
-    """Base kernel, ordered direction kernels, and the implied order."""
+    """Base kernel, ordered direction kernels, and the implied order.
+
+    Its prepared form (`prepared`, see `_prepare`) is computed on first use
+    and kept, so one request serves any number of combinations F."""
 
     base: StepKernel
     directions: tuple[StepKernel, ...]
@@ -76,6 +104,30 @@ class DerivativeRequest:
     @property
     def order(self) -> int:
         return len(self.directions)
+
+    @cached_property
+    def prepared(self) -> _Prepared:
+        return _prepare(self)
+
+
+def _prepare(request: DerivativeRequest) -> _Prepared:
+    """The request's kernels on one part count, grouped into classes of
+    equal kernels by their integer form, in one pass.
+
+    Class 0 is the base's, its count the directions equal to the base; the
+    others go by decreasing count, ties in order of first appearance, so
+    the counts after the first are a partition.
+    """
+    groups: dict[tuple, list] = {}
+    for kernel in common_refinement(request.base, *request.directions):
+        groups.setdefault(kernel.integerized(), [kernel, 0])[1] += 1
+    (base, seen), *rest = groups.values()
+    rest.sort(key=lambda group: -group[1])
+    kernels = (base, *(kernel for kernel, _ in rest))
+    supports = tuple(kernel.support() for kernel in kernels)
+    # a zero row mask is the zero kernel
+    return _Prepared(kernels, (seen - 1, *(count for _, count in rest)),
+                     supports, not supports[0][0])
 
 
 def _labellings(mults: Sequence[int],
@@ -214,28 +266,21 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
     whose factors' cell masks AND to 0.  Order 0 is the same orbit sum with
     no directions: one labelling of weight 1 per term, its density at the
     base, so the value of F there.
+
+    The request is prepared (`DerivativeRequest.prepared`) on its first
+    call only; the `strict` check runs on every call.
     """
     if F.k:
         raise ValueError("derivatives act on unlabelled density combinations")
-    m = request.order
-    refined = common_refinement(request.base, *request.directions)
-    base, dirs = refined[0], refined[1:]
     if strict:
-        for d in dirs:
-            if not is_admissible(base, d):
+        for d in request.directions:
+            if not is_admissible(request.base, d):
                 raise ValueError("direction is not admissible at the base kernel")
-
-    # equal kernels share a class; class 0 is the base's, the others go by
-    # decreasing count, so the counts after the first are a partition
-    ids: dict[tuple, int] = {}
-    of = [ids.setdefault(kernel.integerized(), len(ids)) for kernel in refined]
-    classes = [0, *sorted(range(1, len(ids)), key=lambda c: -of[1:].count(c))]
-    kernels = [refined[of.index(c)] for c in classes]
-    counts = tuple(of[1:].count(c) for c in classes)
-    supports = [kernel.support() for kernel in kernels]
+    m = request.order
+    kernels, counts, supports, zero_base = request.prepared
+    parts = kernels[0].parts
 
     # on the zero kernel, a copy left on the base zeroes its term
-    zero_base = not any(map(any, base.integerized()[1]))
     total = Fraction(0)
     for H, coeff in F.terms():
         if m > H.edge_count or (zero_base and m < H.edge_count):
@@ -248,7 +293,7 @@ def gateaux_exact(F: QuantumGraph, request: DerivativeRequest, *,
             if _vanishes(H.vertex_count, factors, supports):
                 continue
             total += coeff * weight * _evaluate(
-                H, base.parts, [(u, v, kernels[c], e) for u, v, c, e in factors],
+                H, parts, [(u, v, kernels[c], e) for u, v, c, e in factors],
                 {}, limits=limits)
     return total
 
@@ -305,7 +350,12 @@ class ConsistencyVector:
     entries: dict[bytes, Fraction]
 
     def value(self, h: Multigraph) -> Fraction:
-        return self.entries[canonical_key(h)]
+        try:
+            return self.entries[canonical_key(h)]
+        except KeyError:
+            raise ValueError(
+                f"{graph_signature(h)} is not a class of {self.n}-edge "
+                f"multigraphs on exactly {self.p} vertices") from None
 
     def as_items(self) -> list[tuple[Multigraph, Fraction]]:
         return [(h, self.entries[canonical_key(h)]) for h in self.classes]
@@ -319,15 +369,29 @@ def extract_T(F: QuantumGraph, n: int, p: int, *,
     Well-definedness (independence of the representative tuple) is the orbit
     property of the tuple-to-graph map; nothing here checks it, the test
     suite does (other tuples of the same class give the same value).
+
+    Every representative has exactly p vertices, so its request depends on
+    the class alone: it is built and prepared once and kept on the class
+    (`Multigraph._request`), and serves every F for as long as the class
+    lives.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
     classes = enumerate_Hnp(n, p, limits=limits)
-    base = StepKernel.zero(p)
-    entries = {canonical_key(h): gateaux_exact(
-                   F, DerivativeRequest(base, basis_tuple(h, p)), limits=limits)
+    entries = {canonical_key(h): gateaux_exact(F, _basis_request(h),
+                                               limits=limits)
                for h in classes}
     return ConsistencyVector(n, p, classes, entries)
+
+
+def _basis_request(h: Multigraph) -> DerivativeRequest:
+    """The request at the zero kernel on `basis_tuple(h, p)`, p = |V(h)|,
+    kept on h."""
+    if h._request is None:
+        p = h.vertex_count
+        object.__setattr__(h, "_request", DerivativeRequest(
+            StepKernel.zero(p), basis_tuple(h, p)))
+    return h._request
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,12 @@ Pair = tuple[int, int]
 class Multigraph:
     """An immutable loop-free multigraph with an optional partial labelling."""
 
-    # `_key`, `_record` and `_tables` are filled on first use and kept: the
-    # canonical key, `morphisms._record` and the derivative orbit tables of
-    # `calculus._orbits` by direction counts
+    # `_key`, `_record`, `_tables` and `_request` are filled on first use
+    # and kept: the canonical key, `morphisms._record`, the derivative orbit
+    # tables of `calculus._orbits` by direction counts, and the basis-tuple
+    # derivative request `calculus.extract_T` reads the class on
     __slots__ = ("vertex_count", "pairs", "labels", "_key", "_record",
-                 "_tables")
+                 "_tables", "_request")
 
     def __init__(self, vertex_count: int,
                  edges: Iterable[Sequence[int]] = (),
@@ -75,6 +76,7 @@ class Multigraph:
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_record", None)
         object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_request", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multigraph is immutable")

@@ -57,9 +57,11 @@ class StepKernel:
         c = _to_fraction(value)
         return cls([[c] * parts for _ in range(parts)], _checked=True)
 
-    @classmethod
-    def zero(cls, parts: int = 1) -> "StepKernel":
-        return cls.constant(0, parts)
+    @staticmethod
+    def zero(parts: int = 1) -> "StepKernel":
+        """The zero kernel on `parts` parts: one shared kernel per part
+        count, so its integer form and support are computed once."""
+        return _zero(parts)
 
     # -- values -----------------------------------------------------------
 
@@ -158,6 +160,11 @@ def basis_edge(p: int, a: int, b: int) -> StepKernel:
     rows[a - 1][b - 1] = Fraction(1)
     rows[b - 1][a - 1] = Fraction(1)
     return StepKernel(rows, _checked=True)
+
+
+@lru_cache(maxsize=256)
+def _zero(parts: int) -> StepKernel:
+    return StepKernel.constant(0, parts)
 
 
 def from_graph(g: Multigraph) -> StepKernel:

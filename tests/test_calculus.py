@@ -10,7 +10,8 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, calculus, canonical_key,
                          complete_graph, count_surj, cycle_graph, density,
                          enumerate_Hn, enumerate_Hnp, eval_quantum, extract_T,
-                         gamma, gateaux_exact, gateaux_numeric, matching,
+                         gamma, gateaux_exact, gateaux_numeric, graph_signature,
+                         matching,
                          multigraph, parallel_edges, path_graph, permute_parts,
                          sidorenko_star_check, single_edge, star_graph,
                          strip_isolated, verify_structure)
@@ -329,6 +330,16 @@ class TestExtractT:
         for h in vc.classes:
             assert vc.value(h) == v1.value(h) + 5 * v2.value(h)
 
+    @pytest.mark.parametrize("h", [single_edge(), path_graph(2),
+                                   Multigraph(4, [(0, 1, 3)])])
+    def test_value_of_another_class_is_refused(self, h):
+        """Only the 2-edge classes on exactly 4 vertices have a value."""
+        vec = extract_T(QuantumGraph.from_graph(cycle_graph(4)), 2, 4)
+        with pytest.raises(ValueError, match=(
+                f"{graph_signature(h)} is not a class of 2-edge multigraphs "
+                "on exactly 4 vertices")):
+            vec.value(h)
+
     def test_matches_permutation_oracle_on_every_class(self):
         for n in (1, 2, 3):
             p = 2 * n
@@ -340,6 +351,73 @@ class TestExtractT:
                                  for u, v in h.edge_slots())
                     assert vec.value(h) == permutation_gateaux(
                         F, DerivativeRequest(StepKernel.zero(p), dirs))
+
+
+def _reuse_functionals() -> list[QuantumGraph]:
+    """Combinations with up to 4 edges per term, parallel edges among them."""
+    return [QuantumGraph.from_graph(cycle_graph(4)),
+            QuantumGraph.from_graph(path_graph(2))
+            + QuantumGraph.from_graph(parallel_edges(2), Fraction(-2, 3)),
+            QuantumGraph.from_graph(complete_graph(3), 3)
+            + QuantumGraph.from_graph(Multigraph(3, [(0, 1, 2), (1, 2)])),
+            QuantumGraph.from_graph(star_graph(3), Fraction(1, 5))
+            + QuantumGraph.from_graph(single_edge(), 7)]
+
+
+def _reuse_case(name: str) -> tuple[StepKernel, tuple[StepKernel, ...]]:
+    rng = random.Random(name)
+    if name == "order 0":
+        return random_signed_kernel(rng, 3, denominator=3), ()
+    if name == "equal kernels, distinct objects":
+        d, e = (random_signed_kernel(rng, 2, denominator=3) for _ in range(2))
+        return StepKernel.zero(2), (d, StepKernel(e.matrix), e,
+                                    StepKernel(d.matrix))
+    if name == "mixed part counts":
+        d = random_signed_kernel(rng, 2, denominator=3)
+        return (StepKernel.zero(1),
+                (d, basis_edge(3, 1, 3), _on_parts(d, 4)))
+    assert name == "nonzero base"
+    base = random_signed_kernel(rng, 2, denominator=3)
+    return base, (basis_edge(2, 1, 2), random_sparse_kernel(rng, 4, 2, 3),
+                  StepKernel(base.matrix))
+
+
+class TestReusedRequest:
+    """A request is prepared once and then serves every F, any number of
+    times, with the values of a fresh request and of the permutation
+    oracle."""
+
+    @pytest.mark.parametrize("name", [
+        "equal kernels, distinct objects", "mixed part counts",
+        "nonzero base", "order 0"])
+    def test_matches_fresh_requests_and_oracle(self, monkeypatch, name):
+        base, dirs = _reuse_case(name)
+        shared = DerivativeRequest(base, dirs)
+        requests = _counting_prepare(monkeypatch)
+        functionals = _reuse_functionals()
+        first = [gateaux_exact(F, shared) for F in functionals]
+        for _ in range(2):
+            assert [gateaux_exact(F, shared) for F in functionals] == first
+        assert [id(r) for r in requests] == [id(shared)]
+        for F, value in zip(functionals, first):
+            assert gateaux_exact(F, DerivativeRequest(base, dirs)) == value
+            assert permutation_gateaux(F, shared) == value
+        assert len(requests) == 1 + len(functionals)
+        assert any(first)
+
+    def test_strict_is_checked_on_every_call(self):
+        down = basis_edge(2, 1, 2).scaled(-1)
+        request = DerivativeRequest(StepKernel.zero(2), (down, down))
+        functionals = _reuse_functionals()
+        values = [gateaux_exact(F, request) for F in functionals]
+        assert values == [permutation_gateaux(F, request) for F in functionals]
+        for F in functionals:
+            with pytest.raises(ValueError, match="not admissible"):
+                gateaux_exact(F, request, strict=True)
+        assert [gateaux_exact(F, request) for F in functionals] == values
+        up = DerivativeRequest(StepKernel.zero(2), (-down, -down))
+        assert [gateaux_exact(F, up, strict=True) for F in functionals] \
+            == values
 
 
 def _partitions(m: int, top: int | None = None):
@@ -370,6 +448,15 @@ def _counting_tables(monkeypatch) -> list:
     return built
 
 
+def _counting_prepare(monkeypatch) -> list:
+    """Record every request `calculus` prepares."""
+    prepared = []
+    real = calculus._prepare
+    monkeypatch.setattr(calculus, "_prepare", lambda request: (
+        prepared.append(request), real(request))[1])
+    return prepared
+
+
 class TestOrbitTables:
     """Each class builds one orbit table per partition of the direction
     count, keeps it, and reads it back for every later request."""
@@ -384,16 +471,22 @@ class TestOrbitTables:
         assert set(built) == {(0, 4), (0, 3, 1), (0, 2, 2), (0, 2, 1, 1),
                               (0, 1, 1, 1, 1)}
 
-    @pytest.mark.parametrize("n, tables, orbits, checks, evaluations", [
-        (3, 24, 36, 780, 337),
-        (4, 115, 355, 14_309, 3_073),
-    ])
+    @pytest.mark.parametrize(
+        "n, tables, orbits, checks, evaluations, prepared", [
+            (3, 24, 36, 780, 337, 57),
+            (4, 115, 355, 14_309, 3_073, 146),
+        ])
     def test_verify_structure_derivative_work(self, monkeypatch, n, tables,
-                                              orbits, checks, evaluations):
-        """The tables, their orbits, the `_vanishes` checks and the
-        `_evaluate` calls of a fresh `verify_structure(n)`: a missing
-        automorphism generator would split orbits and raise the last three."""
+                                              orbits, checks, evaluations,
+                                              prepared):
+        """The tables, their orbits, the `_vanishes` checks, the
+        `_evaluate` calls and the requests prepared by a fresh
+        `verify_structure(n)`: a missing automorphism generator would split
+        orbits and raise the middle three, and a basis request prepared per
+        density class rather than per class h and scale would raise the
+        last (to 456 and 3,358, its `gateaux_exact` calls)."""
         multigraph._enumerate_classes.cache_clear()
+        multigraph._enumerate_with_vertices.cache_clear()
         sizes = []
         real_orbits = calculus._orbits
         monkeypatch.setattr(calculus, "_orbits", lambda H, counts: (
@@ -403,9 +496,11 @@ class TestOrbitTables:
         monkeypatch.setattr(calculus, "_vanishes", lambda *args: (
             checked.append(1), real_vanishes(*args))[1])
         evaluated = _counting_evaluate(monkeypatch)
+        requests = _counting_prepare(monkeypatch)
         assert verify_structure(n).passed
         assert (len(sizes), sum(sizes), len(checked), len(evaluated)) \
             == (tables, orbits, checks, evaluations)
+        assert len(requests) == len(set(map(id, requests))) == prepared
 
     def test_reversed_directions_share_the_table(self, monkeypatch):
         built = _counting_tables(monkeypatch)

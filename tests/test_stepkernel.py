@@ -36,6 +36,36 @@ class TestIntegerized:
                 assert Fraction(ints[i][j], denom) == rows[i][j]
 
 
+class TestZero:
+    def test_one_shared_kernel_per_part_count(self):
+        zero = StepKernel.zero(3)
+        assert zero is StepKernel.zero(3)
+        assert zero is StepKernel.zero(parts=3)
+        assert StepKernel.zero() is StepKernel.zero(1)
+        assert StepKernel.zero(2) is not zero
+        assert zero.matrix == ((Fraction(0),) * 3,) * 3
+        assert zero.support() == (0, 0)
+
+    def test_shared_kernel_is_immutable(self):
+        zero = StepKernel.zero(3)
+        for name, value in (("parts", 4), ("matrix", ()), ("_support", None),
+                            ("anything", 1)):
+            with pytest.raises(AttributeError):
+                setattr(zero, name, value)
+        assert zero.parts == 3 and zero.matrix == ((Fraction(0),) * 3,) * 3
+
+    def test_arithmetic_returns_new_kernels(self):
+        zero = StepKernel.zero(2)
+        k = random_signed_kernel(random.Random(4), 2, denominator=5)
+        results = [zero + k, k + zero, -zero, zero.scaled(3), 2 * zero,
+                   zero - k]
+        assert all(r is not zero for r in results)
+        assert results[:2] == [k, k] and results[-1] == -k
+        assert all(r == zero for r in results[2:5])
+        assert zero.matrix == ((Fraction(0),) * 2,) * 2
+        assert StepKernel.zero(2) is zero
+
+
 class TestBasisAndRefine:
     def test_basis_matrix(self):
         e = basis_edge(2, 1, 2)
