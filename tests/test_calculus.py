@@ -10,11 +10,11 @@ from graphoncalc import (DerivativeRequest, Multigraph, QuantumGraph,
                          StepKernel, basis_edge, calculus, canonical_key,
                          complete_graph, count_surj, cycle_graph, density,
                          enumerate_Hn, enumerate_Hnp, eval_quantum, extract_T,
-                         gamma, gateaux_exact, gateaux_numeric, graph_signature,
-                         matching,
-                         multigraph, parallel_edges, path_graph, permute_parts,
-                         sidorenko_star_check, single_edge, star_graph,
-                         strip_isolated, verify_structure)
+                         gamma, gateaux_exact, gateaux_numeric,
+                         graph_signature, matching, multigraph, parallel_edges,
+                         path_graph, permute_parts, sidorenko_star_check,
+                         single_edge, star_graph, strip_isolated,
+                         verify_structure)
 
 from .bruteforce import (backtrack_density, brute_orbit_count, keyed_orbits,
                          permutation_gateaux, random_kernel, random_multigraph,
@@ -376,8 +376,7 @@ def _reuse_case(name: str) -> tuple[StepKernel, tuple[StepKernel, ...]]:
         d = random_signed_kernel(rng, 2, denominator=3)
         return (StepKernel.zero(1),
                 (d, basis_edge(3, 1, 3), _on_parts(d, 4)))
-    assert name == "nonzero base"
-    base = random_signed_kernel(rng, 2, denominator=3)
+    base = random_signed_kernel(rng, 2, denominator=3)  # "nonzero base"
     return base, (basis_edge(2, 1, 2), random_sparse_kernel(rng, 4, 2, 3),
                   StepKernel(base.matrix))
 
