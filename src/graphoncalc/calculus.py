@@ -14,11 +14,12 @@ with the same density, so `gateaux_exact` evaluates one labelling per orbit,
 with equal kernels on a pair merged into one factor with an exponent, and
 weights it by the number of slot assignments in the orbit.  The orbits are
 found from a generating set of Aut(H) (`automorphism_generators`, read off
-the search behind `canonical_key`) acting on H's pairs: each labelling is
-joined with its images under the generators, so the orbits are exact
-however large Aut(H) is, and no labelling is canonicalized.  At the zero
-kernel only terms with as many edges as directions are evaluated: a copy
-left on the base zeroes its term.
+the search behind `canonical_key`) acting on H's pairs: `multigraph.orbits`
+joins each labelling with its images under the generators, the same
+routine that folds the label permutations of `morphisms.surjection_table`,
+so the orbits are exact however large Aut(H) is, and no labelling is
+canonicalized.  At the zero kernel only terms with as many edges as
+directions are evaluated: a copy left on the base zeroes its term.
 
 The orbit table of a term depends only on H and the number of directions
 in each class, and `gateaux_exact` numbers the direction classes by
@@ -63,12 +64,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .density import _evaluate, density
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, automorphism_generators, canonical_key,
-                         enumerate_Hnp, graph_signature, single_edge,
+                         enumerate_Hnp, graph_signature, orbits, single_edge,
                          star_graph)
 from .series import QuantumGraph, basis_tuple, eval_quantum
 from .stepkernel import (StepKernel, common_refinement, is_admissible,
@@ -169,11 +170,11 @@ def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], 
     (`Multigraph._tables`, by counts), so H builds one table per such key
     in its lifetime.
 
-    The orbits are closed under Aut(H) acting on H's pairs: each one is
-    grown from its first labelling in `_labellings` order by the images
-    under `automorphism_generators(H)` until none is new (Butler,
-    *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991), and
-    the orbits are listed by their first labellings.  A missing generator
+    The orbits are closed under Aut(H) acting on H's pairs: `orbits`
+    (multigraph) grows each one from its first labelling in `_labellings`
+    order by the images under `automorphism_generators(H)`, as pair
+    permutations, until none is new, and the orbits are listed by their
+    first labellings; each weighs by its size.  A missing generator
     would split orbits, costing evaluations but no exactness: a labelling's
     density and weight are invariant under Aut(H).
 
@@ -190,31 +191,15 @@ def _orbits(H: Multigraph, counts: tuple[int, ...]) -> tuple[tuple[tuple, int], 
         source = sorted(range(len(image)), key=image.__getitem__)
         if source != sorted(source):
             moves.append(source)
-    seen: set[tuple] = set()
-    orbits = []
-    for first in _labellings([m for _, m in H.pairs], counts):
-        if first in seen:
-            continue
-        seen.add(first)
-        stack, size = [first], 0
-        while stack:
-            labels = stack.pop()
-            size += 1
-            for source in moves:
-                image = tuple(map(labels.__getitem__, source))
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
-        orbits.append((first, size))
     choices = math.prod(map(math.factorial, counts))
     out = []
-    for labels, size in orbits:
-        weight = choices * size
+    for labels, members in orbits(
+            _labellings([m for _, m in H.pairs], counts),
+            lambda labels: [tuple(map(labels.__getitem__, source))
+                            for source in moves]):
+        weight = choices * len(members)
         factors = []
         for ((u, v), mult), row in zip(H.pairs, labels):
-            if not any(row):
-                factors.append((u, v, 0, mult))
-                continue
             weight = weight * math.perm(mult, sum(row)) \
                 // math.prod(map(math.factorial, row))
             factors += [(u, v, c, e) for c, e in
@@ -339,6 +324,17 @@ def gamma(n: int, p: int, x: Sequence[tuple[int, int]]) -> Multigraph:
     return Multigraph(p, [(a - 1, b - 1) for a, b in x])
 
 
+def _by_class(table: Mapping[bytes, int | Fraction], h: Multigraph,
+              classes: str) -> int | Fraction:
+    """table's entry under h's canonical key; a ValueError naming h and
+    `classes` when there is none."""
+    try:
+        return table[canonical_key(h)]
+    except KeyError:
+        raise ValueError(f"{graph_signature(h)} is not a class of "
+                         f"{classes}") from None
+
+
 @dataclass(frozen=True)
 class ConsistencyVector:
     """Derivative data of a class function at 0, indexed by the isomorphism
@@ -350,12 +346,8 @@ class ConsistencyVector:
     entries: dict[bytes, Fraction]
 
     def value(self, h: Multigraph) -> Fraction:
-        try:
-            return self.entries[canonical_key(h)]
-        except KeyError:
-            raise ValueError(
-                f"{graph_signature(h)} is not a class of {self.n}-edge "
-                f"multigraphs on exactly {self.p} vertices") from None
+        return _by_class(self.entries, h, f"{self.n}-edge multigraphs on "
+                         f"exactly {self.p} vertices")
 
     def as_items(self) -> list[tuple[Multigraph, Fraction]]:
         return [(h, self.entries[canonical_key(h)]) for h in self.classes]
@@ -375,8 +367,6 @@ def extract_T(F: QuantumGraph, n: int, p: int, *,
     (`Multigraph._request`), and serves every F for as long as the class
     lives.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
     classes = enumerate_Hnp(n, p, limits=limits)
     entries = {canonical_key(h): gateaux_exact(F, _basis_request(h),
                                                limits=limits)

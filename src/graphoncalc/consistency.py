@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .calculus import ConsistencyVector, extract_T
+from .calculus import ConsistencyVector, _by_class, extract_T
 from .limits import DEFAULT_LIMITS, Limits
 from .morphisms import surjection_table
 from .multigraph import (Multigraph, canonical_key, enumerate_Hn,
@@ -46,7 +46,7 @@ class ConsistencyMatrix:
     surjects onto one of classes[a], so the table is upper triangular, and
     the diagonal is strictly positive.  Matrices compare by (n, k, table);
     `value` and `rows` find the positions of other graphs by canonical
-    key."""
+    key, and refuse a graph of no class with a ValueError."""
 
     n: int
     k: int
@@ -55,14 +55,15 @@ class ConsistencyMatrix:
 
     def _positions(self, graphs) -> list[int]:
         position = {canonical_key(g): a for a, g in enumerate(self.classes)}
-        return [position[canonical_key(g)] for g in graphs]
+        return [_by_class(position, g, f"{self.n}-edge multigraphs without "
+                          "isolated vertices") for g in graphs]
 
     def value(self, g: Multigraph, h: Multigraph) -> int:
         a, b = self._positions((g, h))
         return self.table[a][b]
 
     def rows(self, order: tuple[Multigraph, ...] | None = None) -> list[list[int]]:
-        index = self._positions(order or self.classes)
+        index = self._positions(self.classes if order is None else order)
         return [[self.table[a][b] for b in index] for a in index]
 
 
@@ -137,7 +138,8 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
     """Push derivative data from the kp-part scale down to the p-part scale
     through the integer matrix; exact.  Each class at either scale is read
     at the position of its unpadded class (`surjection_positions`), which
-    is its row and column in the matrix."""
+    is its row and column in the matrix; an entry of A that is not an n-edge
+    class on exactly A.p vertices is refused with a ValueError."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if A.p % k:
@@ -147,6 +149,12 @@ def apply_constraint(A: ConsistencyVector, k: int, *,
         raise ValueError("target scale must have at least 2 parts")
     table = pi_formula(A.n, k, limits=limits).table
     fine_positions = surjection_positions(A.n, A.p, limits=limits)
+    if A.entries.keys() - fine_positions.keys():
+        classes = f"{A.n}-edge multigraphs on exactly {A.p} vertices"
+        # name the first class the vector lists that has no position
+        for h in A.classes:
+            _by_class(fine_positions, h, classes)
+        raise ValueError(f"an entry of the vector is not a class of {classes}")
     fine = [(fine_positions[key], value) for key, value in A.entries.items()]
     entries = {}
     for gkey, a in surjection_positions(A.n, p, limits=limits).items():

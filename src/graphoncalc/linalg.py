@@ -1,10 +1,16 @@
 """Small exact linear algebra over Fractions: determinant, solve, rank.
 
-All three run one Gaussian elimination with the first nonzero pivot.  The
-surjection-count matrices it meets are large and mostly zero (a Whitney
-matrix can have hundreds of rows and ~90 % zero entries), so each pivot step
-updates only the rows with a nonzero in the pivot column, and in them only
-the pivot row's nonzero columns.
+All three run one Gaussian elimination with the first nonzero pivot.  In
+the library it serves only the structure report's invertibility (b) and
+derivative-basis (c) determinants; the tests use the rest.  Whitney
+determinants do not come here: a Whitney table is lower triangular in the
+surjection order, so its determinant is the product of the diagonal, and
+Taylor recovery back-substitutes on the triangular table S.  The matrices
+here, the scale matrices and the derivative vectors of one edge count, are
+surjection-count tables up to the order and scale of their rows and
+columns, so mostly zero, and each pivot step updates only the rows with a
+nonzero in the pivot column, and in them only the pivot row's nonzero
+columns.
 
 Entries may be Fractions or ints (the consistency matrices are ints), mixed
 freely; results are Fractions.  Elimination runs on a copy of the rows that

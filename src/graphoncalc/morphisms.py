@@ -110,7 +110,9 @@ or more labels, relabelling both graphs of a pair by one permutation of
 the labels keeps its count, and a full class list is closed under it.  So
 one pair per orbit is searched, and the orbit is filled by closure under
 the index maps of the permutations (1 2) and (1 2 ... k), which generate
-them all; the maps cost at most two relabelled `canonical_key`s per class.
+them all (`multigraph.orbits`, the routine that also finds the orbits of
+the derivative sum in `calculus`); the maps cost at most two relabelled
+`canonical_key`s per class.
 Whitney(4, 2) searches 14,839 of its 78,961 pairs this way, and 8,215 of
 those pass the tests above.  `surjection_table` keeps every table it
 builds, so each is searched once per process: the unlabelled table S
@@ -139,7 +141,7 @@ from typing import NamedTuple, Sequence
 from .density import _integrate, _make_plan
 from .limits import DEFAULT_LIMITS, Limits
 from .multigraph import (Multigraph, _adjacency, _twin_classes, canonical_key,
-                         enumerate_Hn, surjection_total_order)
+                         enumerate_Hn, orbits, surjection_total_order)
 
 
 @lru_cache(maxsize=None)
@@ -293,8 +295,6 @@ def _surjective_vertex_map_sum(h: Multigraph, g: Multigraph, k: int | None, *,
                 or any(b > src.pair_prefix[j + more]
                        for j, b in enumerate(tgt.pair_prefix))):
             return 0
-    if nv == 0:
-        return 1 if h.vertex_count == 0 else 0
     plan = _source_plan(h, src)
     mult = tgt.rows
     load = [[0] * nv for _ in range(nv)]
@@ -444,7 +444,10 @@ def surjection_table(n: int, labels: int = 0, k: int | None = None, *,
     In this order the table is lower triangular: a class surjects onto
     another only if that one comes first.  Only the pairs that can be
     quotients are searched (module docstring), and with two or more labels
-    one pair per label-permutation orbit of pairs.  Each table is searched
+    one pair per label-permutation orbit of pairs: `multigraph.orbits`
+    splits the candidate pairs, in search order, by the label moves, and
+    the first pair's count is written to every member (with no labels,
+    every orbit is one pair).  Each table is searched
     once per (n, labels, k, limits) in a process and shared by every
     caller: S, the scale matrices and the Whitney matrices alike.
     """
@@ -461,26 +464,15 @@ def _surjection_table(n: int, labels: int, k: int | None, limits: Limits
                                                         limits=limits)))
     moves = _label_moves(classes, labels)
     table = [[0] * len(classes) for _ in classes]
-    done: set[tuple[int, int]] = set()
-    for i, h in enumerate(classes):
-        for j, g in enumerate(classes[:i + 1]):
-            if (j < i and g.vertex_count >= h.vertex_count) or (i, j) in done:
-                continue
-            value = (count_surj(h, g, limits=limits) if k is None else
-                     surjection_weight_sum(h, g, k, limits=limits))
-            table[i][j] = value
-            if not moves:
-                continue
-            done.add((i, j))
-            orbit = [(i, j)]
-            while orbit:
-                a, b = orbit.pop()
-                for move in moves:
-                    pair = (move[a], move[b])
-                    if pair not in done:
-                        done.add(pair)
-                        table[pair[0]][pair[1]] = value
-                        orbit.append(pair)
+    candidates = ((i, j) for i, h in enumerate(classes) for j in range(i + 1)
+                  if j == i or classes[j].vertex_count < h.vertex_count)
+    for (i, j), members in orbits(candidates, lambda pair: [
+            (move[pair[0]], move[pair[1]]) for move in moves]):
+        h, g = classes[i], classes[j]
+        value = (count_surj(h, g, limits=limits) if k is None else
+                 surjection_weight_sum(h, g, k, limits=limits))
+        for a, b in members:
+            table[a][b] = value
     return classes, tuple(map(tuple, table))
 
 

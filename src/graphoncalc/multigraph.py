@@ -9,8 +9,11 @@ that is equal for two graphs exactly when they are isomorphic by a
 label-preserving node-and-edge isomorphism.  Everything downstream
 (enumeration, quantum-graph bookkeeping, class indexing) dedups on it.
 The same search also yields :func:`automorphism_generators`, a generating
-set of a graph's automorphism group, from which `calculus` finds the orbits
-of the derivative sum.
+set of a graph's automorphism group.  :func:`orbits` splits items into the
+orbits of the group a generating set acts by; it is the one orbit routine
+of the package: `calculus` runs it on the labellings of the derivative sum
+with the automorphism generators, `morphisms` on the pairs of a labelled
+surjection table with the label permutations.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -339,6 +342,32 @@ def automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
               for a, b in itertools.pairwise(members)]
     return [tuple(move.get(v, v) for v in range(g.vertex_count))
             for move in map(dict, moves)]
+
+
+def orbits(items: Iterable, images: Callable) -> Iterator[tuple[object, list]]:
+    """Split `items` into the orbits of the group that `images` generates.
+
+    `items` are distinct, and `images(item)` lists the item's images under
+    a generating set.  Each orbit starts from its first item in `items`
+    order, the items of earlier orbits skipped, and grows by the images of
+    its members until none is new (Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991).  Yields (first, members), members
+    in the order found, first first.  Only the members reached as images
+    are remembered, so with no images every item is its own orbit and
+    nothing is kept.
+    """
+    seen = set()
+    for first in items:
+        if first in seen:
+            continue
+        members = [first]
+        # the loop reaches the members appended while it runs
+        for item in members:
+            for image in images(item):
+                if image != first and image not in seen:
+                    seen.add(image)
+                    members.append(image)
+        yield first, members
 
 
 def padded_key(key: bytes, vertex_count: int) -> bytes:

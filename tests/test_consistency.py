@@ -105,6 +105,29 @@ class TestPiFormula:
                 positive = matrix.value(g, h) > 0
                 assert positive == (count_surj(h, g) > 0)
 
+    @pytest.mark.parametrize("graph", [
+        Multigraph(2, [(0, 1)]), Multigraph(5, [(0, 1), (2, 3)]),
+        Multigraph(3, [(0, 1, 2)])], ids=["1-edge", "padded", "isolated"])
+    def test_a_graph_of_no_class_is_refused(self, graph):
+        """Only the 2-edge classes without isolated vertices have a
+        position; a padded class or a 1-edge graph has none."""
+        matrix = pi_formula(2, 2)
+        message = (f"{graph_signature(graph)} is not a class of 2-edge "
+                   "multigraphs without isolated vertices")
+        with pytest.raises(ValueError, match=message):
+            matrix.value(graph, matrix.classes[0])
+        with pytest.raises(ValueError, match=message):
+            matrix.value(matrix.classes[0], graph)
+        with pytest.raises(ValueError, match=message):
+            matrix.rows((*matrix.classes, graph))
+
+    def test_rows_follow_the_order_given(self):
+        matrix = pi_formula(2, 2)
+        assert matrix.rows() == [[4, 8, 4], [0, 8, 8], [0, 0, 16]]
+        assert matrix.rows(matrix.classes[::-1]) == [
+            [16, 0, 0], [8, 8, 0], [4, 8, 4]]
+        assert matrix.rows(()) == []
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_triangular_in_total_order(self, n):
         matrix = pi_formula(n, 2)
@@ -214,6 +237,23 @@ class TestApplyConstraint:
                                 {canonical_key(h): Fraction(1)
                                  for h in classes})
         with pytest.raises(ValueError):
+            apply_constraint(vec, 2)
+
+
+    def test_entries_of_other_classes_are_refused(self):
+        classes = enumerate_Hnp(3, 6)
+        vec = ConsistencyVector(2, 6, classes,
+                                {canonical_key(h): Fraction(1)
+                                 for h in classes})
+        with pytest.raises(ValueError, match=(
+                f"{graph_signature(classes[0])} is not a class of 2-edge "
+                "multigraphs on exactly 6 vertices")):
+            apply_constraint(vec, 2)
+        # the classes are the 2-edge ones, the entries are not
+        vec = ConsistencyVector(2, 6, enumerate_Hnp(2, 6), vec.entries)
+        with pytest.raises(ValueError, match=(
+                "an entry of the vector is not a class of 2-edge multigraphs "
+                "on exactly 6 vertices")):
             apply_constraint(vec, 2)
 
 

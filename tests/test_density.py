@@ -10,8 +10,8 @@ from graphoncalc import (ARG, DecoratedDensity, Multigraph, StepKernel,
                          eval_decorated, from_graph, glue_product,
                          labelled_density, l1_norm, multiplicativity_check,
                          parallel_edges, path_graph, permute_parts,
-                         pins_from_json, refine, simplify, single_edge,
-                         star_graph, t_combinatorial)
+                         pins_from_json, pins_to_json, refine, simplify,
+                         single_edge, star_graph, t_combinatorial)
 from graphoncalc.limits import CapExceeded, Limits
 
 from .bruteforce import (backtrack_density, random_kernel, random_labelled,
@@ -319,5 +319,7 @@ class TestMultiplicativity:
 def test_pins_json_round_trip():
     pins = pins_from_json({"1": "1/3", "2": "0.5"})
     assert pins == {1: Fraction(1, 3), 2: Fraction(1, 2)}
+    assert pins_to_json(pins) == {"1": "1/3", "2": "1/2"}
+    assert pins_from_json(pins_to_json(pins)) == pins
     with pytest.raises(ValueError):
         pins_from_json({"1": "not-a-number"})

@@ -67,6 +67,16 @@ class TestHom:
 
 
 class TestSurj:
+    def test_empty_target(self):
+        """The empty graph has one surjection onto itself, the empty map;
+        a graph with vertices has none onto it."""
+        empty = Multigraph(0)
+        assert count_surj(empty, empty) == 1
+        assert surjection_weight_sum(empty, empty, 3) == 1
+        assert count_surj(Multigraph(2), empty) == 0
+        assert surjection_weight_sum(Multigraph(1), empty, 2) == 0
+        assert count_surj(single_edge(), empty) == 0
+
     def test_frozen_examples(self):
         assert count_surj(single_edge(), single_edge()) == 2
         assert count_surj(parallel_edges(2), single_edge()) == 2

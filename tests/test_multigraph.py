@@ -12,7 +12,7 @@ from graphoncalc import (Multigraph, canonical_key, complete_graph,
                          matching, multigraph, parallel_edges, path_graph,
                          simplify, single_edge, star_graph, strip_isolated)
 from graphoncalc.limits import CapExceeded, Limits
-from graphoncalc.multigraph import automorphism_generators, padded_key
+from graphoncalc.multigraph import automorphism_generators, orbits, padded_key
 
 from .bruteforce import (augmenting_enumerate_Hn, brute_canonical_key,
                          brute_enumerate_Hn, brute_enumerate_Hnp)
@@ -319,6 +319,29 @@ class TestAutomorphisms:
                          (matching(3).padded(7), 48)):
             assert _closure_order(automorphism_generators(g),
                                   g.vertex_count) == order
+
+
+class TestOrbits:
+    def test_each_orbit_starts_at_its_first_item(self):
+        # rotation by 2 on 0..5 splits it into the odds and the evens; 7 has
+        # no images, and items already in an orbit start none
+        found = list(orbits([3, 0, 7, 2, 1],
+                            lambda x: [(x + 2) % 6] if x < 6 else []))
+        assert found == [(3, [3, 5, 1]), (0, [0, 2, 4]), (7, [7])]
+
+    def test_without_images_every_item_is_an_orbit(self):
+        assert list(orbits("abc", lambda x: [])) == [
+            ("a", ["a"]), ("b", ["b"]), ("c", ["c"])]
+
+    def test_members_reached_through_several_generators(self):
+        # (0 1) and (0 1 2 3) generate every permutation of 0..3
+        swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
+        pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+        found = list(orbits(pairs, lambda pair: [
+            (perm[pair[0]], perm[pair[1]]) for perm in (swap, cycle)]))
+        assert len(found) == 1
+        first, members = found[0]
+        assert first == (0, 1) and sorted(members) == pairs
 
 
 class TestStripSimplifyGlue:

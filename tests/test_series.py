@@ -93,6 +93,22 @@ class TestQuantumGraph:
                           (parallel_edges(2), -2)])
         assert quantum_from_json(quantum_to_json(F)) == F
 
+    def test_product_operator_is_the_gluing_product(self):
+        F = QuantumGraph.from_graph(single_edge(), 3)
+        G = QuantumGraph.from_graph(path_graph(2), Fraction(1, 2))
+        assert F * G == quantum_multiply(F, G)
+        assert (F * G).terms() == [
+            (disjoint_union(single_edge(), path_graph(2)), Fraction(3, 2))]
+        with pytest.raises(TypeError):
+            F * 2
+
+    def test_equality_pads_the_smaller_label_count(self):
+        edge = QuantumGraph.from_graph(single_edge())
+        padded = QuantumGraph([(single_edge(), 1)], k=1)
+        pinned = QuantumGraph([(Multigraph(2, [(0, 1)], {1: 0}), 1)], k=1)
+        assert edge == padded and padded == edge
+        assert edge != pinned and pinned != edge
+
     @pytest.mark.parametrize("build", [
         lambda: QuantumGraph.zero(-2),
         lambda: QuantumGraph([(single_edge(), 1)], k=-1),
@@ -118,6 +134,11 @@ class TestRadius:
     def test_zero_series(self):
         S = PowerSeries({})
         assert radius_of_convergence(S).lower == math.inf
+
+    def test_truncation_with_only_a_constant_term(self):
+        S = PowerSeries({0: Fraction(5, 2) * QuantumGraph.unit()},
+                        complete=False)
+        assert radius_of_convergence(S) == (math.inf, None)
 
     @pytest.mark.parametrize("k, pins", [
         (2, {1: Fraction(1, 3)}), (1, {2: Fraction(1, 3)}),
@@ -294,6 +315,46 @@ class TestSeriesArithmetic:
         assert (S * P).tail == expected
         assert (P * S).tail == expected
         assert (S * P).max_degree == 18
+
+    def test_geometric_profile_refuses_what_is_not_one_law(self):
+        K3 = QuantumGraph.from_graph(complete_graph(3))
+        tail = GeometricTail(6, 3, Fraction(1, 2), Fraction(1, 4))
+        assert series._pure_geometric_profile(
+            PowerSeries({3: Fraction(1, 2) * K3}, tail=tail)) == (
+                3, 3, Fraction(1, 2), Fraction(1, 2))
+        for S in (PowerSeries({3: K3}, complete=False),
+                  PowerSeries({3: K3}, tail=dataclasses.replace(
+                      tail, is_bound=True)),
+                  # degree 1 is off the tail's grid of degrees 0 mod 3
+                  PowerSeries({1: QuantumGraph.from_graph(single_edge())},
+                              tail=tail),
+                  # the law gives norm 1/2 at degree 3, not 1
+                  PowerSeries({3: K3}, tail=tail)):
+            assert series._pure_geometric_profile(S) is None
+
+    def test_product_tails_that_cannot_be_bounded(self):
+        S = geometric_triangle_series(2)
+        P = self._poly((Multigraph(0), 1), (complete_graph(3), Fraction(1, 5)))
+        # norms 2^-m at degree 3m, times 1 + 2/5, from degree 9 on
+        bound = P * S
+        assert bound.tail == GeometricTail(9, 3, Fraction(1, 2),
+                                           Fraction(7, 40), is_bound=True)
+        zero = PowerSeries({})
+        edge = self._poly((single_edge(), 1))
+        # two truncations; a bound tail; no nonzero polynomial degree; a
+        # polynomial degree off the tail's grid
+        for product in (S * S, P * bound, zero * S, edge * S):
+            assert product.tail is None and not product.complete
+        # kept through the shorter truncation, degree 6: 2/4 + 1/4 of K3 K3
+        assert (S * S).max_degree == 6
+        assert (S * S).slice(6) == QuantumGraph.from_graph(k3_power(2),
+                                                           Fraction(3, 4))
+        assert (zero * S).slices == {}
+        assert (edge * S).slices == {
+            1: QuantumGraph.from_graph(single_edge()),
+            4: QuantumGraph.from_graph(
+                disjoint_union(single_edge(), complete_graph(3)),
+                Fraction(1, 2))}
 
     def test_product_radius_at_least_min(self):
         S = geometric_triangle_series()
@@ -585,6 +646,10 @@ class TestLagrange:
         F = lagrange_interpolate(points, values, limits=WIDE_LIMITS)
         for pt, v in zip(points, values):
             assert eval_quantum(F, pt, limits=WIDE_LIMITS) == v
+
+    def test_one_value_per_point(self):
+        with pytest.raises(ValueError, match="need one value per point"):
+            lagrange_interpolate([StepKernel.constant(Fraction(1, 2))], [1, 2])
 
     def test_identical_points_cannot_be_separated(self):
         f = StepKernel.constant(Fraction(1, 2))
