@@ -345,7 +345,7 @@ class TestSeriesArithmetic:
         # polynomial degree off the tail's grid
         for product in (S * S, P * bound, zero * S, edge * S):
             assert product.tail is None and not product.complete
-        # kept through the shorter truncation, degree 6: 2/4 + 1/4 of K3 K3
+        # kept through the truncation, degree 6: 2 (1/4) + (1/2)^2 of K3 K3
         assert (S * S).max_degree == 6
         assert (S * S).slice(6) == QuantumGraph.from_graph(k3_power(2),
                                                            Fraction(3, 4))
